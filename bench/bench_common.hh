@@ -1,8 +1,8 @@
 /**
  * @file
  * Shared setup for the figure-reproduction benches: build the paper's
- * sweep spec (honouring REFRINT_REFS / REFRINT_APPS / REFRINT_CACHE
- * environment overrides) and run-or-load the shared result cache.
+ * sweep spec (honouring REFRINT_REFS / REFRINT_APPS / REFRINT_STORE
+ * environment overrides) and run-or-load the shared result store.
  */
 
 #ifndef REFRINT_BENCH_BENCH_COMMON_HH

@@ -25,7 +25,7 @@
  *
  *   --json PATH   write the snapshot as JSON (CI artifact)
  *   --sweep       also run the headline sweep (honours REFRINT_REFS /
- *                 REFRINT_APPS / REFRINT_CACHE) and record its wall time
+ *                 REFRINT_APPS / REFRINT_STORE) and record its wall time
  *   --check FILE  compare against a committed baseline JSON; exit 1 if
  *                 any throughput metric regresses more than --tol
  *                 (default 0.30) below it, if peak RSS exceeds the

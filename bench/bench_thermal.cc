@@ -2,7 +2,7 @@
  * @file
  * Thermal scenario bench: sweeps the ambient-temperature axis for the
  * headline policies and reports how the refresh/energy trade-off moves
- * with die temperature.  Shares the sweep result cache (thermal rows
+ * with die temperature.  Shares the sweep result store (thermal rows
  * are ambient-keyed), honours REFRINT_REFS / REFRINT_APPS /
  * REFRINT_JOBS, and with --json PATH emits a machine-readable perf
  * snapshot (wall time, simulations executed, rows produced) so CI can

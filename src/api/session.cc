@@ -6,7 +6,7 @@
 #include <map>
 #include <mutex>
 
-#include "api/run_cache.hh"
+#include "api/result_store.hh"
 #include "common/arena.hh"
 #include "common/log.hh"
 #include "harness/pool.hh"
@@ -56,12 +56,6 @@ machineMemoKey(const Scenario &sc)
 }
 
 } // namespace
-
-Session::Session(SessionOptions opts)
-    : jobs_(opts.jobs),
-      store_(std::make_unique<RunCache>(std::move(opts.cachePath)))
-{
-}
 
 Session::Session(std::unique_ptr<ResultStore> store, unsigned jobs)
     : jobs_(jobs), store_(std::move(store))

@@ -2,9 +2,9 @@
  * @file
  * Session: the facade that runs experiment plans.
  *
- * A Session owns the persistent run cache and the worker configuration;
+ * A Session owns the result store and the worker configuration;
  * Session::run(plan, sinks) executes every scenario of a plan —
- * cache-first, in parallel, results streamed to the sinks in plan
+ * store-first, in parallel, results streamed to the sinks in plan
  * order — and returns the same SweepResult aggregate the legacy
  * runSweep() produced.  runSweep(), the thermal study, and the figure
  * pipeline are all thin plan-builders over this one entry point.
@@ -13,7 +13,7 @@
  * results land in plan order regardless of completion order, every run
  * simulates with its own CmpSystem/EventQueue and scenario-derived
  * seeds, so jobs=N output is bit-identical to jobs=1, and the default
- * paper plan reproduces the legacy sweep — stdout, cache keys and rows
+ * paper plan reproduces the legacy sweep — stdout, store keys and rows
  * — byte for byte.
  */
 
@@ -21,7 +21,6 @@
 #define REFRINT_API_SESSION_HH
 
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "api/experiment_plan.hh"
@@ -33,31 +32,13 @@ namespace refrint
 
 class ResultStore;
 
-struct SessionOptions
-{
-    /** Result cache location; empty disables persistence.  Defaults
-     *  to $REFRINT_CACHE or ./refrint_sweep_cache.csv. */
-    std::string cachePath;
-
-    /** Worker threads; 0 means $REFRINT_JOBS, or serial if unset. */
-    unsigned jobs = 0;
-
-    SessionOptions() : cachePath(defaultCachePath()) {}
-    SessionOptions(std::string cache, unsigned j)
-        : cachePath(std::move(cache)), jobs(j)
-    {
-    }
-};
-
 class Session
 {
   public:
-    explicit Session(SessionOptions opts = {});
-
     /**
-     * Run against an explicit result store (e.g. the experiment
-     * service's ShardedStore) instead of the legacy single-file cache.
-     * @p jobs as in SessionOptions.
+     * Run plans against @p store (a ShardedStore; an empty directory
+     * keeps rows in memory only).  @p jobs worker threads; 0 means
+     * $REFRINT_JOBS, or serial if unset.
      */
     Session(std::unique_ptr<ResultStore> store, unsigned jobs);
 
@@ -67,13 +48,13 @@ class Session
     Session &operator=(const Session &) = delete;
 
     /**
-     * Execute @p plan: cached scenarios load instantly, the rest
+     * Execute @p plan: stored scenarios load instantly, the rest
      * simulate on up to `jobs` workers.  Rows stream to @p sinks in
      * plan order (serialized — sinks need no locking); the store is
      * flushed before end() fires.  The store stays loaded across
      * run() calls, so successive plans in one session share warm rows.
      * The returned SweepResult carries RunMetrics (simulated vs.
-     * cache-hit counts, wall time, worker utilization).
+     * store-hit counts, wall time, worker utilization).
      *
      * @p deadlineSeconds > 0 bounds the run's wall time cooperatively:
      * once the budget is spent, scenarios that have not yet STARTED

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <memory>
 #include <sstream>
 
 #include "api/experiment_plan.hh"
@@ -9,6 +10,7 @@
 #include "common/env.hh"
 #include "common/log.hh"
 #include "harness/pool.hh"
+#include "service/store.hh"
 
 namespace refrint
 {
@@ -51,38 +53,38 @@ paperRetentions()
 }
 
 std::string
-defaultCachePath()
+defaultStoreDir()
 {
-    if (const char *p = std::getenv("REFRINT_CACHE"))
+    if (const char *p = std::getenv("REFRINT_STORE"))
         return p;
-    return "refrint_sweep_cache.csv";
+    return "refrint_store";
 }
 
 void
 SweepSpec::finalize()
 {
-    if (apps.empty())
-        apps = paperWorkloads();
+    if (apps.empty()) {
+        if (const char *a = std::getenv("REFRINT_APPS")) {
+            // Comma-separated allow list, e.g. REFRINT_APPS=fft,lu
+            std::stringstream ss(a);
+            std::string tok;
+            while (std::getline(ss, tok, ',')) {
+                if (const Workload *w = findWorkload(tok))
+                    apps.push_back(w);
+                else
+                    warn("REFRINT_APPS: unknown app '%s'", tok.c_str());
+            }
+        }
+        if (apps.empty())
+            apps = paperWorkloads();
+    }
     if (retentions.empty())
         retentions = paperRetentions();
     if (policies.empty())
         policies = paperPolicySweep();
-    const std::uint64_t refs = envU64("REFRINT_REFS", 0);
-    if (refs > 0)
-        sim.refsPerCore = refs;
-    if (const char *a = std::getenv("REFRINT_APPS")) {
-        // Comma-separated allow list, e.g. REFRINT_APPS=fft,lu
-        std::vector<const Workload *> keep;
-        std::stringstream ss(a);
-        std::string tok;
-        while (std::getline(ss, tok, ',')) {
-            if (const Workload *w = findWorkload(tok))
-                keep.push_back(w);
-            else
-                warn("REFRINT_APPS: unknown app '%s'", tok.c_str());
-        }
-        if (!keep.empty())
-            apps = keep;
+    if (sim.refsPerCore == 0) {
+        const std::uint64_t refs = envU64("REFRINT_REFS", 0);
+        sim.refsPerCore = refs > 0 ? refs : SimParams{}.refsPerCore;
     }
     jobs = resolveJobs(jobs);
 }
@@ -205,12 +207,12 @@ SweepResult::find(const std::string &app, double retentionUs,
 }
 
 SweepResult
-runSweep(SweepSpec spec, const std::string &cachePath)
+runSweep(SweepSpec spec, const std::string &storeDir)
 {
     // fromSweepSpec finalizes the spec; the Session resolves jobs the
     // same way finalize would (explicit value, else $REFRINT_JOBS).
     const unsigned jobs = spec.jobs;
-    Session session(SessionOptions{cachePath, jobs});
+    Session session(std::make_unique<ShardedStore>(storeDir), jobs);
     return session.run(ExperimentPlan::fromSweepSpec(std::move(spec)));
 }
 

@@ -6,8 +6,9 @@
  * application — 43 runs per app.
  *
  * A sweep is expensive (473 simulations at full size), so results are
- * cached in a CSV file keyed by every parameter that affects them; all
- * figure benches share the cache, and re-running a bench is free.
+ * kept in a result store (service/store.hh) keyed by every parameter
+ * that affects them; all figure benches share the store, and
+ * re-running a bench is free.
  */
 
 #ifndef REFRINT_HARNESS_SWEEP_HH
@@ -54,7 +55,9 @@ struct SweepSpec
     std::vector<const Workload *> apps; ///< defaults to all 11
     std::vector<Tick> retentions;       ///< defaults to 50/100/200 us
     std::vector<RefreshPolicy> policies; ///< defaults to all 14
-    SimParams sim;
+
+    /** Run knobs.  refsPerCore 0 (the default) means unset. */
+    SimParams sim = SimParams{0};
     EnergyParams energy = EnergyParams::calibrated();
 
     /**
@@ -85,8 +88,10 @@ struct SweepSpec
      */
     unsigned jobs = 0;
 
-    /** Fill any empty field with the paper defaults; read environment
-     *  overrides (REFRINT_REFS, REFRINT_APPS, REFRINT_JOBS). */
+    /** Fill every field the caller left unset: apps from $REFRINT_APPS,
+     *  refsPerCore from $REFRINT_REFS, jobs from $REFRINT_JOBS, else
+     *  (and for retentions and policies) the paper defaults.  A field
+     *  the caller set is never overridden by the environment. */
     void finalize();
 };
 
@@ -174,19 +179,20 @@ struct SweepResult
                                  double ambientC = 0.0) const;
 };
 
-/** Cache location: $REFRINT_CACHE or ./refrint_sweep_cache.csv. */
-std::string defaultCachePath();
+/** Result store directory: $REFRINT_STORE (empty = in memory only),
+ *  else ./refrint_store. */
+std::string defaultStoreDir();
 
 /**
- * Run (or load from cache) the sweep described by @p spec.  A thin
+ * Run (or load from the store) the sweep described by @p spec.  A thin
  * wrapper over the experiment API: the spec flattens into an
  * ExperimentPlan (api/experiment_plan.hh) and executes through a
  * Session (api/session.hh); output is byte-identical to the historic
  * Cartesian sweep loop.
- * @param cachePath  CSV cache location; empty disables caching.
+ * @param storeDir  result store directory; empty keeps rows in memory.
  */
 SweepResult runSweep(SweepSpec spec,
-                     const std::string &cachePath = defaultCachePath());
+                     const std::string &storeDir = defaultStoreDir());
 
 } // namespace refrint
 

@@ -24,7 +24,6 @@
 #include "api/experiment_plan.hh"
 #include "api/json.hh"
 #include "api/result_sink.hh"
-#include "api/run_cache.hh"
 #include "api/session.hh"
 #include "common/log.hh"
 #include "service/faults.hh"
@@ -271,10 +270,6 @@ handleConnection(int fd, Session &session, const ServeOptions &opts,
 int
 runServe(const ServeOptions &opts)
 {
-    if (!opts.storeDir.empty() && !opts.cachePath.empty()) {
-        warn("serve: --store and --cache are exclusive");
-        return 1;
-    }
     if (opts.socketPath.empty() && opts.port == 0) {
         warn("serve: need --socket PATH or --port N");
         return 1;
@@ -294,12 +289,8 @@ runServe(const ServeOptions &opts)
     if (listenFd < 0)
         return 1;
 
-    std::unique_ptr<ResultStore> store;
-    if (!opts.storeDir.empty())
-        store = std::make_unique<ShardedStore>(opts.storeDir);
-    else
-        store = std::make_unique<RunCache>(opts.cachePath);
-    Session session(std::move(store), opts.jobs);
+    Session session(std::make_unique<ShardedStore>(opts.storeDir),
+                    opts.jobs);
 
     const std::size_t maxQueue = opts.maxQueue == 0 ? 1 : opts.maxQueue;
     std::mutex mu;

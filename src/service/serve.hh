@@ -66,8 +66,7 @@ struct ServeOptions
 {
     std::string socketPath; ///< unix socket path ("" = use port)
     unsigned port = 0;      ///< TCP port on 127.0.0.1 (0 = use socket)
-    std::string storeDir;   ///< sharded result store; "" = none
-    std::string cachePath;  ///< legacy cache (exclusive with storeDir)
+    std::string storeDir;   ///< result store; "" = in memory only
     unsigned jobs = 0;      ///< worker threads (0 = $REFRINT_JOBS)
 
     std::size_t maxQueue = 16;    ///< pending-connection bound; a full
@@ -80,7 +79,7 @@ struct ServeOptions
 
 /** Run the service until a shutdown request or SIGTERM (graceful
  *  drain); 0 on clean shutdown, 1 on setup failure (bad listen
- *  address, conflicting stores). */
+ *  address). */
 int runServe(const ServeOptions &opts);
 
 struct SubmitOptions

@@ -12,7 +12,6 @@
 #include <unistd.h>
 
 #include "api/json.hh"
-#include "api/run_cache.hh"
 #include "common/log.hh"
 #include "service/faults.hh"
 #include "service/framing.hh"
@@ -136,7 +135,11 @@ ShardedStore::ShardedStore(std::string dir, unsigned shards,
                            bool syncEveryAppend)
     : dir_(std::move(dir)), syncEveryAppend_(syncEveryAppend)
 {
-    panicIf(dir_.empty(), "sharded store needs a directory");
+    if (dir_.empty()) {
+        // In-memory: no manifest, no shard files, nothing to load.
+        shards_ = shards == 0 ? kDefaultShards : shards;
+        return;
+    }
     // Create the directory if needed (EEXIST is the common warm case).
     if (::mkdir(dir_.c_str(), 0777) != 0 && errno != EEXIST)
         fatal("cannot create store directory %s: %s", dir_.c_str(),
@@ -223,6 +226,11 @@ ShardedStore::lookup(const std::string &key, CacheRow &out) const
 void
 ShardedStore::insert(const std::string &key, const CacheRow &c)
 {
+    if (dir_.empty()) {
+        std::lock_guard<std::mutex> lock(mu_);
+        rows_[key] = c;
+        return;
+    }
     const unsigned shard = shardOf(key);
     const std::string record = frameRecord(key + ";" + encodeCacheRow(c));
     std::lock_guard<std::mutex> lock(mu_);
@@ -275,7 +283,7 @@ void
 ShardedStore::flush()
 {
     std::lock_guard<std::mutex> lock(mu_);
-    for (unsigned s = 0; s < shards_; ++s) {
+    for (std::size_t s = 0; s < fds_.size(); ++s) {
         if (dirty_[s] && fds_[s] >= 0) {
             ::fdatasync(fds_[s]);
             dirty_[s] = 0;
@@ -457,19 +465,46 @@ scrubStore(const std::string &dir, bool repair, std::FILE *out)
     return report;
 }
 
-std::size_t
+MigrateReport
 migrateLegacyCache(const std::string &cachePath, ShardedStore &store)
 {
-    std::ifstream probe(cachePath);
-    if (!probe)
+    std::ifstream in(cachePath);
+    if (!in)
         fatal("cannot read legacy cache file: %s", cachePath.c_str());
-    probe.close();
-    RunCache legacy(cachePath); // read-only import: never written back
-    const auto rows = legacy.snapshot();
+
+    // Header history: v5 added the thermal fields, v6 machine-keyed
+    // rows (same payload), v7 the request-latency block and v8 the
+    // alternate-backend tail.  decodeCacheRow reads every one of those
+    // row lengths; older files predate exact %.17g rows.
+    std::string line;
+    std::getline(in, line);
+    bool readable = false;
+    for (int v = 5; v <= 8; ++v)
+        readable = readable || line == "v" + std::to_string(v);
+    if (!readable)
+        fatal("legacy cache %s has header '%s', not v5 to v8; nothing "
+              "imported",
+              cachePath.c_str(), line.c_str());
+
+    MigrateReport report;
+    std::map<std::string, CacheRow> rows;
+    while (std::getline(in, line)) {
+        if (line.empty())
+            continue;
+        const auto sep = line.find(';');
+        CacheRow c{};
+        if (sep == 0 || sep == std::string::npos ||
+            !decodeCacheRow(line.substr(sep + 1), c)) {
+            ++report.skipped;
+            continue;
+        }
+        rows[line.substr(0, sep)] = c; // last occurrence wins
+    }
     for (const auto &[key, row] : rows)
         store.insert(key, row);
     store.flush();
-    return rows.size();
+    report.imported = rows.size();
+    return report;
 }
 
 } // namespace refrint

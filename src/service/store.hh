@@ -13,9 +13,15 @@
  * Rows are addressed by their canonical ScenarioKey string; a key
  * lives in shard fnv64(key) % shards forever (the shard count is
  * fixed at creation and recorded in the manifest).  Each record's
- * payload is "key;row" with the row encoded by the same %.17g codec
- * the legacy cache uses (api/result_store.hh), so a migrated row is
- * byte-identical to a freshly simulated one.
+ * payload is "key;row" with the row encoded by the %.17g codec of
+ * api/result_store.hh — the same text the old single-file caches
+ * held, so a migrated row is byte-identical to a freshly simulated
+ * one.
+ *
+ * This is the only result store: every Session runs against one.  A
+ * store opened with an empty directory keeps its rows in memory and
+ * touches no file (`REFRINT_STORE=`, the binning plan, and `serve`
+ * or `worker` without --store).
  *
  * Concurrency model: any number of *processes* may append to the same
  * store concurrently — every insert is one O_APPEND write of one
@@ -23,8 +29,7 @@
  * reader ignores anything that fails the frame check (see
  * framing.hh).  Duplicate keys are benign: append-only means a re-
  * simulated row simply appears twice, and readers keep the last
- * occurrence.  Within a process the store is mutex-guarded like the
- * legacy cache.
+ * occurrence.  Within a process the store is mutex-guarded.
  *
  * Durability policy:
  *  - The manifest is fsync'd at creation — a store directory that
@@ -57,11 +62,13 @@ class ShardedStore : public ResultStore
     static constexpr unsigned kDefaultShards = 8;
 
     /**
-     * Open (or create) the store directory at @p dir.  A new store is
-     * created with @p shards shard files (0 = kDefaultShards); an
-     * existing store always uses its manifest's count, since the shard
-     * function must stay stable for the directory's lifetime.  Fatal
-     * (exit 1) on an unreadable manifest or uncreatable directory.
+     * Open (or create) the store directory at @p dir; an empty @p dir
+     * opens an in-memory store that reads and writes no file.  A new
+     * store is created with @p shards shard files (0 =
+     * kDefaultShards); an existing store always uses its manifest's
+     * count, since the shard function must stay stable for the
+     * directory's lifetime.  Fatal (exit 1) on an unreadable manifest
+     * or uncreatable directory.
      * @p syncEveryAppend fdatasyncs after each insert (durable before
      * the insert returns) instead of only at flush().
      */
@@ -151,14 +158,24 @@ struct ScrubReport
 ScrubReport scrubStore(const std::string &dir, bool repair,
                        std::FILE *out = nullptr);
 
+/** Outcome of importing a legacy single-file cache. */
+struct MigrateReport
+{
+    std::size_t imported = 0; ///< distinct keys written to the store
+    std::size_t skipped = 0;  ///< malformed lines left out
+};
+
 /**
- * Import every row of a legacy single-file cache (api/run_cache.hh)
- * into @p store.  Returns the number of rows imported; fatal (exit 1)
- * when @p cachePath is missing or unreadable.  The legacy file is only
- * read, never modified.
+ * Import every row of a legacy single-file cache into @p store: a
+ * "vN" header line (v5 to v8) followed by one "key;f0,f1,..." line
+ * per run, the last line of a key winning.  Rows that parse are
+ * imported even when others are malformed; those are counted in
+ * MigrateReport::skipped.  Fatal (exit 1) when @p cachePath is
+ * missing or unreadable, or its header is not v5 to v8.  The legacy
+ * file is only read, never modified.
  */
-std::size_t migrateLegacyCache(const std::string &cachePath,
-                               ShardedStore &store);
+MigrateReport migrateLegacyCache(const std::string &cachePath,
+                                 ShardedStore &store);
 
 } // namespace refrint
 

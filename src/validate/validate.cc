@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "api/json.hh"
-#include "api/run_cache.hh"
 #include "api/scenario.hh"
 #include "common/log.hh"
 #include "service/store.hh"
@@ -163,30 +162,15 @@ int
 runValidate(const ValidateOptions &opts, ValidateReport *reportOut)
 {
     std::FILE *out = opts.out != nullptr ? opts.out : stdout;
-    panicIf(opts.cachePath.empty() == opts.storeDir.empty(),
-            "runValidate wants exactly one of cachePath / storeDir");
+    panicIf(opts.storeDir.empty(), "runValidate wants a storeDir");
 
     // ---- load the corpus -------------------------------------------
-    std::map<std::string, CacheRow> rows;
-    std::string corpus;
-    if (!opts.storeDir.empty()) {
-        corpus = "store " + opts.storeDir;
-        std::ifstream manifest(opts.storeDir + "/store.json");
-        if (!manifest)
-            fatal("validate: no result store at %s (missing "
-                  "store.json)",
-                  opts.storeDir.c_str());
-        ShardedStore store(opts.storeDir);
-        rows = store.snapshot();
-    } else {
-        corpus = "cache " + opts.cachePath;
-        std::ifstream f(opts.cachePath);
-        if (!f)
-            fatal("validate: no result cache at %s",
-                  opts.cachePath.c_str());
-        RunCache cache(opts.cachePath);
-        rows = cache.snapshot();
-    }
+    const std::string corpus = "store " + opts.storeDir;
+    if (!std::ifstream(opts.storeDir + "/store.json"))
+        fatal("validate: no result store at %s (missing store.json)",
+              opts.storeDir.c_str());
+    const std::map<std::string, CacheRow> rows =
+        ShardedStore(opts.storeDir).snapshot();
 
     ValidateReport rep;
     rep.rows = rows.size();

@@ -2,9 +2,9 @@
  * @file
  * Corpus-wide invariant checker behind `refrint validate`.
  *
- * Streams every row out of a result corpus (legacy single-file cache
- * or sharded store), rebuilds each row's scenario from its key, and
- * checks two kinds of facts:
+ * Streams every row out of a result store (service/store.hh),
+ * rebuilds each row's scenario from its key, and checks two kinds of
+ * facts:
  *
  *  - row-local invariants: finite/non-negative fields, the per-level
  *    vs. per-component decomposition identity, monotone latency
@@ -41,8 +41,7 @@ namespace refrint
 
 struct ValidateOptions
 {
-    std::string cachePath; ///< legacy cache file ("" = not used)
-    std::string storeDir;  ///< sharded store directory ("" = not used)
+    std::string storeDir;  ///< result store directory to check
     std::string jsonOut;   ///< JSON report path ("" = none)
     bool verbose = false;  ///< list every finding, not just a summary
     std::FILE *out = nullptr; ///< defaults to stdout
@@ -78,9 +77,9 @@ struct ValidateReport
  * Run every check over the corpus named by @p opts.  Prints a summary
  * (and with verbose every finding) to opts.out, writes the JSON report
  * when requested, and returns the exit code: 0 clean, 1 violations.
- * Fatal (exit 1) when the corpus or the report path is unusable.
- * Exactly one of cachePath / storeDir must be set (the CLI enforces
- * this as a usage error before calling).
+ * Fatal (exit 1) when the store or the report path is unusable.
+ * storeDir must be set (the CLI enforces this as a usage error before
+ * calling).
  */
 int runValidate(const ValidateOptions &opts,
                 ValidateReport *reportOut = nullptr);

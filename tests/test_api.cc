@@ -12,6 +12,8 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -21,6 +23,7 @@
 #include "api/scenario.hh"
 #include "api/session.hh"
 #include "harness/report.hh"
+#include "service/store.hh"
 #include "workload/method.hh"
 #include "workload/micro.hh"
 
@@ -555,7 +558,7 @@ TEST(SessionTest, StreamsRowsInPlanOrderToEverySink)
     const ExperimentPlan plan = microPlan(u);
 
     RecordingSink rec;
-    Session session(SessionOptions{"", 4});
+    Session session(std::make_unique<ShardedStore>(""), 4);
     const SweepResult res = session.run(plan, {&rec});
 
     EXPECT_EQ(rec.begins, 1);
@@ -581,7 +584,7 @@ TEST(SessionTest, JsonLinesSinkEmitsOneValidObjectPerRow)
     std::FILE *tmp = std::tmpfile();
     ASSERT_NE(tmp, nullptr);
     JsonLinesSink sink(tmp);
-    Session session(SessionOptions{"", 1});
+    Session session(std::make_unique<ShardedStore>(""), 1);
     session.run(plan, {&sink});
 
     std::rewind(tmp);
@@ -609,7 +612,7 @@ TEST(SessionTest, CsvSinkQuotesCommaBearingConfigNames)
     std::FILE *tmp = std::tmpfile();
     ASSERT_NE(tmp, nullptr);
     CsvSink sink(tmp);
-    Session session(SessionOptions{"", 1});
+    Session session(std::make_unique<ShardedStore>(""), 1);
     session.run(plan, {&sink});
 
     std::rewind(tmp);
@@ -643,14 +646,14 @@ TEST(SessionTest, ModifiedEnergyModelNeverReusesDefaultRows)
     unsetenv("REFRINT_REFS");
     unsetenv("REFRINT_APPS");
     UniformWorkload u(8 * 1024, 0.3);
-    const std::string path = ::testing::TempDir() + "/api_energy.csv";
-    std::remove(path.c_str());
+    const std::string dir = ::testing::TempDir() + "/api_energy_store";
+    std::filesystem::remove_all(dir);
 
-    Session session(SessionOptions{path, 1});
+    Session session(std::make_unique<ShardedStore>(dir), 1);
     const SweepResult calibrated = session.run(microPlan(u));
     EXPECT_EQ(calibrated.simulations, 3u);
 
-    // Same scenarios, different energy model: the warm cache must NOT
+    // Same scenarios, different energy model: the warm store must NOT
     // satisfy them (the legacy engine silently reused such rows).
     ExperimentPlan tweaked = microPlan(u);
     tweaked.energy.eL3Access *= 100.0;
@@ -661,7 +664,7 @@ TEST(SessionTest, ModifiedEnergyModelNeverReusesDefaultRows)
     // And the tweaked rows are themselves cached under their tag.
     const SweepResult warm = session.run(tweaked);
     EXPECT_EQ(warm.simulations, 0u);
-    std::remove(path.c_str());
+    std::filesystem::remove_all(dir);
 }
 
 TEST(SessionTest, SharesWarmCacheRowsAcrossRuns)
@@ -669,18 +672,18 @@ TEST(SessionTest, SharesWarmCacheRowsAcrossRuns)
     unsetenv("REFRINT_REFS");
     unsetenv("REFRINT_APPS");
     UniformWorkload u(8 * 1024, 0.3);
-    const std::string path = ::testing::TempDir() + "/api_session.csv";
-    std::remove(path.c_str());
+    const std::string dir = ::testing::TempDir() + "/api_session_store";
+    std::filesystem::remove_all(dir);
 
-    Session session(SessionOptions{path, 2});
+    Session session(std::make_unique<ShardedStore>(dir), 2);
     const SweepResult first = session.run(microPlan(u));
     EXPECT_EQ(first.simulations, 3u);
-    // Same session, same plan: everything is already in the cache.
+    // Same session, same plan: everything is already in the store.
     const SweepResult again = session.run(microPlan(u));
     EXPECT_EQ(again.simulations, 0u);
     ASSERT_EQ(again.raw.size(), first.raw.size());
     EXPECT_EQ(again.raw[1].execTicks, first.raw[1].execTicks);
-    std::remove(path.c_str());
+    std::filesystem::remove_all(dir);
 }
 
 // ---------------------------------------------------------------------
@@ -705,9 +708,9 @@ TEST(SessionTest, MethodWorkloadsRoundTripPlanJsonAndCache)
 {
     unsetenv("REFRINT_REFS");
     unsetenv("REFRINT_APPS");
-    const std::string path = ::testing::TempDir() + "/api_methods.csv";
-    std::remove(path.c_str());
-    Session session(SessionOptions{path, 2});
+    const std::string dir = ::testing::TempDir() + "/api_methods_store";
+    std::filesystem::remove_all(dir);
+    Session session(std::make_unique<ShardedStore>(dir), 2);
 
     for (const char *spec : {"agg:tables=part,groups=1024,in=65536",
                              "serve:rps=2e6,ws=4096,data=65536"}) {
@@ -722,18 +725,18 @@ TEST(SessionTest, MethodWorkloadsRoundTripPlanJsonAndCache)
 
         const SweepResult cold = session.run(plan);
         EXPECT_EQ(cold.simulations, 2u) << spec;
-        // The reloaded plan must hit the very same cache rows.
+        // The reloaded plan must hit the very same store rows.
         const SweepResult warm = session.run(reloaded);
         EXPECT_EQ(warm.simulations, 0u) << spec;
         ASSERT_EQ(warm.raw.size(), cold.raw.size());
         EXPECT_EQ(warm.raw[1].execTicks, cold.raw[1].execTicks);
-        // The latency block replays through the cache bit-exactly.
+        // The latency block replays through the store bit-exactly.
         EXPECT_EQ(warm.raw[1].requests, cold.raw[1].requests);
         EXPECT_EQ(warm.raw[1].reqP50Us, cold.raw[1].reqP50Us);
         EXPECT_EQ(warm.raw[1].reqP95Us, cold.raw[1].reqP95Us);
         EXPECT_EQ(warm.raw[1].reqP99Us, cold.raw[1].reqP99Us);
     }
-    std::remove(path.c_str());
+    std::filesystem::remove_all(dir);
 }
 
 TEST(SessionTest, ServeRowsCarryLatencyPercentilesThroughJsonl)
@@ -746,7 +749,7 @@ TEST(SessionTest, ServeRowsCarryLatencyPercentilesThroughJsonl)
     std::FILE *tmp = std::tmpfile();
     ASSERT_NE(tmp, nullptr);
     JsonLinesSink sink(tmp);
-    Session session(SessionOptions{"", 1});
+    Session session(std::make_unique<ShardedStore>(""), 1);
     const SweepResult res = session.run(plan, {&sink});
 
     // Every run of a request-serving workload completes requests and

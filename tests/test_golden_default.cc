@@ -4,9 +4,13 @@
  * the pre-refactor (commit 7c48afe) machine exactly.  The committed
  * golden files under tests/golden/ were captured from that revision:
  *
- *  - sweep_cache_default.csv  cache rows of a 2-app (fft, lu) sweep at
- *                             4000 refs/core (keys byte-identical; the
- *                             header is v6, rows are unchanged v5 rows)
+ *  - sweep_cache_default.csv  rows of a 2-app (fft, lu) sweep at 4000
+ *                             refs/core as a legacy single-file cache
+ *                             (keys byte-identical; the header is v6,
+ *                             rows are unchanged v5 rows).  The sweep's
+ *                             store rows, passed through the row codec,
+ *                             must match it, and the file migrated into
+ *                             a store must replay with no simulation.
  *  - sweep_headline.txt       the sweep's printHeadline output
  *  - thermal_study.txt        the thermal-study table (fft, 50 us,
  *                             ambients 45/65/85)
@@ -21,6 +25,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -29,6 +34,7 @@
 
 #include "harness/report.hh"
 #include "harness/sweep.hh"
+#include "service/store.hh"
 
 namespace refrint
 {
@@ -114,16 +120,20 @@ capture(Fn print)
 
 TEST(GoldenDefault, SweepRowSetIsByteIdenticalToPreRefactor)
 {
-    const std::string cachePath = "golden_test_cache.csv";
-    std::remove(cachePath.c_str());
+    const std::string dir = ::testing::TempDir() + "/golden_test_store";
+    std::filesystem::remove_all(dir);
 
     SweepSpec spec = goldenSpec();
-    const SweepResult s = runSweep(spec, cachePath);
+    const SweepResult s = runSweep(spec, dir);
     EXPECT_EQ(s.raw.size(), 2u * 43u);
 
     const auto want =
         parseCache(readFile(goldenPath("sweep_cache_default.csv")));
-    const auto got = parseCache(readFile(cachePath));
+    // The store's rows in the golden file's "key;row" text.
+    std::string stored;
+    for (const auto &[key, row] : ShardedStore(dir).snapshot())
+        stored += key + ";" + encodeCacheRow(row) + "\n";
+    const auto got = parseCache(stored);
     ASSERT_FALSE(want.empty());
     ASSERT_EQ(got.size(), want.size());
 
@@ -149,7 +159,32 @@ TEST(GoldenDefault, SweepRowSetIsByteIdenticalToPreRefactor)
         capture([&](std::FILE *f) { printHeadline(s, f); });
     EXPECT_EQ(headline, readFile(goldenPath("sweep_headline.txt")));
 
-    std::remove(cachePath.c_str());
+    std::filesystem::remove_all(dir);
+}
+
+TEST(GoldenDefault, MigratedGoldenCacheReplaysWarm)
+{
+    const std::string dir =
+        ::testing::TempDir() + "/golden_migrated_store";
+    std::filesystem::remove_all(dir);
+    {
+        ShardedStore store(dir);
+        const MigrateReport rep = migrateLegacyCache(
+            goldenPath("sweep_cache_default.csv"), store);
+        EXPECT_EQ(rep.imported, 2u * 43u);
+        EXPECT_EQ(rep.skipped, 0u);
+    }
+
+    // Every golden scenario is answered from the migrated rows, and
+    // the headline over them is the golden one, byte for byte.
+    const SweepResult s = runSweep(goldenSpec(), dir);
+    EXPECT_EQ(s.simulations, 0u);
+    EXPECT_EQ(s.raw.size(), 2u * 43u);
+    const std::string headline =
+        capture([&](std::FILE *f) { printHeadline(s, f); });
+    EXPECT_EQ(headline, readFile(goldenPath("sweep_headline.txt")));
+
+    std::filesystem::remove_all(dir);
 }
 
 TEST(GoldenDefault, ThermalStudyOutputIsByteIdenticalToPreRefactor)
@@ -160,7 +195,7 @@ TEST(GoldenDefault, ThermalStudyOutputIsByteIdenticalToPreRefactor)
     spec.policies = {RefreshPolicy::periodic(DataPolicy::All),
                      RefreshPolicy::refrint(DataPolicy::WB, 32, 32)};
     spec.ambients = {45.0, 65.0, 85.0};
-    const SweepResult s = runSweep(spec, /*cachePath=*/"");
+    const SweepResult s = runSweep(spec, /*storeDir=*/"");
 
     const std::string table = capture(
         [&](std::FILE *f) { printThermalStudy(s, "fft", 50.0, f); });

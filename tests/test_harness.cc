@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 
 #include "harness/report.hh"
 #include "harness/sweep.hh"
@@ -137,12 +138,12 @@ TEST(SweepCacheTest, CacheRoundTripsResults)
                      RefreshPolicy::periodic(DataPolicy::All)};
     spec.sim.refsPerCore = 1500;
 
-    const std::string path = ::testing::TempDir() + "/sweep_cache_rt.csv";
-    std::remove(path.c_str());
+    const std::string dir = ::testing::TempDir() + "/sweep_cache_rt_store";
+    std::filesystem::remove_all(dir);
 
     SweepSpec spec2 = spec; // runSweep consumes the spec
-    const SweepResult fresh = runSweep(std::move(spec), path);
-    const SweepResult cached = runSweep(std::move(spec2), path);
+    const SweepResult fresh = runSweep(std::move(spec), dir);
+    const SweepResult cached = runSweep(std::move(spec2), dir);
 
     ASSERT_EQ(fresh.raw.size(), cached.raw.size());
     ASSERT_EQ(fresh.normalized.size(), cached.normalized.size());
@@ -151,21 +152,21 @@ TEST(SweepCacheTest, CacheRoundTripsResults)
         const auto &b = cached.normalized[i];
         EXPECT_EQ(a.app, b.app);
         EXPECT_EQ(a.config, b.config);
-        // The CSV cache stores ~7 significant digits.
+        // Warm rows come back through the store's row codec.
         EXPECT_NEAR(a.time, b.time, 1e-5);
         EXPECT_NEAR(a.memEnergy, b.memEnergy, 1e-5);
         EXPECT_NEAR(a.sysEnergy, b.sysEnergy, 1e-5);
         EXPECT_NEAR(a.refresh, b.refresh, 1e-5);
     }
-    std::remove(path.c_str());
+    std::filesystem::remove_all(dir);
 }
 
 TEST(SweepCacheTest, CacheKeyedByRefsPerCore)
 {
     // Different simulation sizes must not alias in the cache.
     UniformWorkload app(8 * 1024, 0.3);
-    const std::string path = ::testing::TempDir() + "/sweep_cache_key.csv";
-    std::remove(path.c_str());
+    const std::string dir = ::testing::TempDir() + "/sweep_cache_key_store";
+    std::filesystem::remove_all(dir);
 
     auto mkSpec = [&](std::uint64_t refs) {
         SweepSpec s;
@@ -176,11 +177,11 @@ TEST(SweepCacheTest, CacheKeyedByRefsPerCore)
         return s;
     };
 
-    const SweepResult small = runSweep(mkSpec(500), path);
-    const SweepResult large = runSweep(mkSpec(2000), path);
+    const SweepResult small = runSweep(mkSpec(500), dir);
+    const SweepResult large = runSweep(mkSpec(2000), dir);
 
     EXPECT_NE(small.raw[0].execTicks, large.raw[0].execTicks);
-    std::remove(path.c_str());
+    std::filesystem::remove_all(dir);
 }
 
 TEST(SweepCacheTest, AverageFiltersByConfigRetentionAndApp)

@@ -291,7 +291,7 @@ TEST(MachineSmoke, ThirtyTwoCoreSweepRowsAreMachineKeyed)
     spec.machines = {MachineAxis{32, false}};
     spec.sim.refsPerCore = 400;
     spec.jobs = 1;
-    const SweepResult s = runSweep(spec, /*cachePath=*/"");
+    const SweepResult s = runSweep(spec, /*storeDir=*/"");
     ASSERT_EQ(s.raw.size(), 2u);
     EXPECT_EQ(s.raw[0].config, "SRAM");
     EXPECT_EQ(s.raw[0].machine, "c32");

@@ -16,6 +16,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <random>
 #include <sstream>
 #include <string>
@@ -31,7 +32,6 @@
 #include <gtest/gtest.h>
 
 #include "api/experiment_plan.hh"
-#include "api/run_cache.hh"
 #include "api/session.hh"
 #include "service/coordinator.hh"
 #include "service/faults.hh"
@@ -338,14 +338,17 @@ TEST(ShardedStoreTest, MigratesLegacyCacheRowsExactly)
     TempDir dir;
     const std::string cachePath = dir.file("legacy.csv");
     {
-        RunCache legacy(cachePath);
+        std::ofstream legacy(cachePath);
+        legacy << "v8\n";
         for (int i = 0; i < 25; ++i)
-            legacy.insert("legacy-" + std::to_string(i),
-                          makeRow(static_cast<double>(i)));
-        legacy.flush();
+            legacy << "legacy-" << i << ";"
+                   << encodeCacheRow(makeRow(static_cast<double>(i)))
+                   << "\n";
     }
     ShardedStore store(dir.file("store"));
-    EXPECT_EQ(migrateLegacyCache(cachePath, store), 25u);
+    const MigrateReport rep = migrateLegacyCache(cachePath, store);
+    EXPECT_EQ(rep.imported, 25u);
+    EXPECT_EQ(rep.skipped, 0u);
     EXPECT_EQ(store.rowCount(), 25u);
     for (int i = 0; i < 25; ++i) {
         CacheRow c{};
@@ -360,32 +363,87 @@ TEST(ShardedStoreTest, MigratesLegacyCacheRowsExactly)
                 ::testing::ExitedWithCode(1), "cannot read legacy");
 }
 
-// ---------------------------------------------------------------------
-// Legacy cache: amortized flush
-// ---------------------------------------------------------------------
+/** "first,first+1,..." : @p n hand-written payload fields. */
+std::string
+legacyFields(int n, int first)
+{
+    std::string out;
+    for (int i = 0; i < n; ++i)
+        out += (i ? "," : "") + std::to_string(first + i);
+    return out;
+}
 
-TEST(RunCacheTest, FlushCountGrowsLogarithmicallyNotLinearly)
+TEST(ShardedStoreTest, MigratesEveryLegacyRowLength)
 {
     TempDir dir;
-    const std::string path = dir.file("cache.csv");
-    const int n = 2000;
+    const std::string cachePath = dir.file("legacy.csv");
     {
-        RunCache cache(path);
-        for (int i = 0; i < n; ++i)
-            cache.insert("k" + std::to_string(i),
-                         makeRow(static_cast<double>(i)));
-        // Fixed-interval flushing would rewrite the file n/16 = 125
-        // times (O(n^2) bytes); the dirty-count threshold keeps it
-        // logarithmic in n.
-        EXPECT_LE(cache.rewrites(), 40u);
-        EXPECT_GE(cache.rewrites(), 5u);
-        cache.flush();
+        // v5/v6 rows end at maxTempC (19 fields), v7 rows at reqP99Us
+        // (23), v8 rows with a second-opinion estimate carry the
+        // 10-field alternate tail (33); the last line of a key wins.
+        std::ofstream legacy(cachePath);
+        legacy << "v8\n"
+               << "fft|P.all|50.0|4000|1;" << legacyFields(19, 100) << "\n"
+               << "serve|P.all|50.0|4000|1;" << legacyFields(23, 200)
+               << "\n"
+               << "lu|P.all|50.0|4000|1|en=ab;" << legacyFields(33, 300)
+               << "\n"
+               << "dup;" << legacyFields(19, 1) << "\n"
+               << "dup;" << legacyFields(19, 2) << "\n";
     }
-    RunCache reloaded(path);
-    EXPECT_EQ(reloaded.rowCount(), static_cast<std::size_t>(n));
+    ShardedStore store(dir.file("store"));
+    const MigrateReport rep = migrateLegacyCache(cachePath, store);
+    EXPECT_EQ(rep.imported, 4u);
+    EXPECT_EQ(rep.skipped, 0u);
+
     CacheRow c{};
-    ASSERT_TRUE(reloaded.lookup("k1234", c));
-    EXPECT_TRUE(sameRow(c, makeRow(1234.0)));
+    ASSERT_TRUE(store.lookup("fft|P.all|50.0|4000|1", c));
+    EXPECT_EQ(c.execTicks, 100.0);
+    EXPECT_EQ(c.maxTempC, 118.0);
+    EXPECT_EQ(c.requests, 0.0); // past a v5/v6 row: zero
+    EXPECT_EQ(c.altPresent, 0.0);
+    ASSERT_TRUE(store.lookup("serve|P.all|50.0|4000|1", c));
+    EXPECT_EQ(c.reqP99Us, 222.0);
+    EXPECT_EQ(c.altPresent, 0.0);
+    ASSERT_TRUE(store.lookup("lu|P.all|50.0|4000|1|en=ab", c));
+    EXPECT_EQ(c.altPresent, 323.0);
+    EXPECT_EQ(c.altNet, 332.0);
+    ASSERT_TRUE(store.lookup("dup", c));
+    EXPECT_EQ(c.execTicks, 2.0);
+
+    // The imported rows survive a reopen of the store.
+    ShardedStore reopened(dir.file("store"));
+    EXPECT_EQ(reopened.rowCount(), 4u);
+}
+
+TEST(ShardedStoreTest, MigrateRejectsStaleHeadersAndCountsBadLines)
+{
+    TempDir dir;
+    ShardedStore store(dir.file("store"));
+
+    // A header outside v5..v8 imports nothing and exits 1.
+    const std::string stale = dir.file("stale.csv");
+    std::ofstream(stale) << "v3\nfft|P.all|50.0|4000|1;"
+                         << legacyFields(19, 1) << "\n";
+    EXPECT_EXIT(migrateLegacyCache(stale, store),
+                ::testing::ExitedWithCode(1), "not v5 to v8");
+
+    // Malformed lines are counted; the rows that parse still import.
+    const std::string bad = dir.file("bad.csv");
+    std::ofstream(bad) << "v7\n"
+                       << "good;" << legacyFields(23, 1) << "\n"
+                       << "badfield;1,2,abc," << legacyFields(20, 4)
+                       << "\n"
+                       << "short;" << legacyFields(20, 1) << "\n"
+                       << "no separator\n"
+                       << ";" << legacyFields(23, 1) << "\n";
+    const MigrateReport rep = migrateLegacyCache(bad, store);
+    EXPECT_EQ(rep.imported, 1u);
+    EXPECT_EQ(rep.skipped, 4u);
+    CacheRow c{};
+    EXPECT_TRUE(store.lookup("good", c));
+    EXPECT_FALSE(store.lookup("badfield", c));
+    EXPECT_EQ(store.rowCount(), 1u);
 }
 
 // ---------------------------------------------------------------------
@@ -779,7 +837,7 @@ TEST(ScrubTest, RandomSingleByteCorruptionIsAlwaysDetectedAndRepaired)
 
 TEST(SessionDeadlineTest, SkipsUnstartedScenariosPastTheDeadline)
 {
-    Session session(SessionOptions{"", 1});
+    Session session(std::make_unique<ShardedStore>(""), 1);
     const ExperimentPlan plan = smallPlan();
     const SweepResult r = session.run(plan, {}, 1e-6);
     EXPECT_GT(r.metrics.skipped, 0u);
@@ -787,7 +845,7 @@ TEST(SessionDeadlineTest, SkipsUnstartedScenariosPastTheDeadline)
     EXPECT_EQ(r.metrics.scenarios, plan.size());
 
     // No deadline: nothing is ever skipped.
-    Session fresh(SessionOptions{"", 1});
+    Session fresh(std::make_unique<ShardedStore>(""), 1);
     const SweepResult full = fresh.run(plan);
     EXPECT_EQ(full.metrics.skipped, 0u);
     EXPECT_EQ(full.raw.size(), plan.size());

@@ -11,6 +11,7 @@
 
 #include <atomic>
 #include <cstdio>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -102,43 +103,42 @@ TEST(SweepParallelTest, CacheRoundTripsEveryFieldExactly)
 {
     UniformWorkload u(8 * 1024, 0.3);
     StreamWorkload s(32 * 1024, 0.2);
-    const std::string path =
-        ::testing::TempDir() + "/sweep_parallel_rt.csv";
-    std::remove(path.c_str());
+    const std::string dir = ::testing::TempDir() + "/sweep_parallel_rt_store";
+    std::filesystem::remove_all(dir);
 
     SweepSpec first = smallSpec(u, s);
     SweepSpec second = smallSpec(u, s);
-    const SweepResult fresh = runSweep(std::move(first), path);
-    const SweepResult cached = runSweep(std::move(second), path);
+    const SweepResult fresh = runSweep(std::move(first), dir);
+    const SweepResult cached = runSweep(std::move(second), dir);
 
     ASSERT_EQ(fresh.raw.size(), cached.raw.size());
     for (std::size_t i = 0; i < fresh.raw.size(); ++i) {
         SCOPED_TRACE(fresh.raw[i].app + "/" + fresh.raw[i].config);
         expectRunsIdentical(fresh.raw[i], cached.raw[i]);
     }
-    std::remove(path.c_str());
+    std::filesystem::remove_all(dir);
 }
 
 TEST(SweepParallelTest, WarmCacheRunsZeroSimulations)
 {
     UniformWorkload u(8 * 1024, 0.3);
     StreamWorkload s(32 * 1024, 0.2);
-    const std::string path =
-        ::testing::TempDir() + "/sweep_parallel_warm.csv";
-    std::remove(path.c_str());
+    const std::string dir =
+        ::testing::TempDir() + "/sweep_parallel_warm_store";
+    std::filesystem::remove_all(dir);
 
     SweepSpec first = smallSpec(u, s);
     first.jobs = 4;
     SweepSpec second = smallSpec(u, s);
     second.jobs = 4;
 
-    const SweepResult fresh = runSweep(std::move(first), path);
+    const SweepResult fresh = runSweep(std::move(first), dir);
     EXPECT_EQ(fresh.simulations, fresh.raw.size());
 
-    const SweepResult warm = runSweep(std::move(second), path);
+    const SweepResult warm = runSweep(std::move(second), dir);
     EXPECT_EQ(warm.simulations, 0u);
     ASSERT_EQ(warm.raw.size(), fresh.raw.size());
-    std::remove(path.c_str());
+    std::filesystem::remove_all(dir);
 }
 
 TEST(PoolTest, ParallelForCoversEveryIndexOnce)

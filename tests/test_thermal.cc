@@ -12,6 +12,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
 #include <string>
 
 #include "harness/sweep.hh"
@@ -274,14 +275,14 @@ TEST(ThermalSweep, CacheRoundTripsThermalFieldsExactly)
 {
     UniformWorkload u(8 * 1024, 0.3);
     StreamWorkload s(32 * 1024, 0.2);
-    const std::string path = ::testing::TempDir() + "/thermal_rt.csv";
-    std::remove(path.c_str());
+    const std::string dir = ::testing::TempDir() + "/thermal_rt_store";
+    std::filesystem::remove_all(dir);
 
     SweepSpec first = thermalSpec(u, s);
     SweepSpec second = thermalSpec(u, s);
-    const SweepResult fresh = runSweep(std::move(first), path);
+    const SweepResult fresh = runSweep(std::move(first), dir);
     EXPECT_EQ(fresh.simulations, fresh.raw.size());
-    const SweepResult warm = runSweep(std::move(second), path);
+    const SweepResult warm = runSweep(std::move(second), dir);
     EXPECT_EQ(warm.simulations, 0u);
 
     ASSERT_EQ(fresh.raw.size(), warm.raw.size());
@@ -293,7 +294,7 @@ TEST(ThermalSweep, CacheRoundTripsThermalFieldsExactly)
         EXPECT_EQ(fresh.raw[i].energy.refresh,
                   warm.raw[i].energy.refresh);
     }
-    std::remove(path.c_str());
+    std::filesystem::remove_all(dir);
 }
 
 /** Thermal rows must never collide with (or satisfy) isothermal rows
@@ -302,31 +303,31 @@ TEST(ThermalSweep, KeysDoNotCollideWithIsothermalRows)
 {
     UniformWorkload u(8 * 1024, 0.3);
     StreamWorkload s(32 * 1024, 0.2);
-    const std::string path = ::testing::TempDir() + "/thermal_keys.csv";
-    std::remove(path.c_str());
+    const std::string dir = ::testing::TempDir() + "/thermal_keys_store";
+    std::filesystem::remove_all(dir);
 
     SweepSpec iso = thermalSpec(u, s);
     iso.ambients.clear(); // same points, thermal disabled
-    const SweepResult isoFresh = runSweep(SweepSpec(iso), path);
+    const SweepResult isoFresh = runSweep(SweepSpec(iso), dir);
     EXPECT_EQ(isoFresh.simulations, isoFresh.raw.size());
 
     // The thermal sweep shares only the 2 SRAM baselines (which are
     // never thermal); its 8 eDRAM points must all simulate fresh.
     SweepSpec thermal = thermalSpec(u, s);
-    const SweepResult thFresh = runSweep(SweepSpec(thermal), path);
+    const SweepResult thFresh = runSweep(SweepSpec(thermal), dir);
     EXPECT_EQ(thFresh.simulations, 8u);
 
     // Both repeats fully warm, and the isothermal rows were untouched
     // by the thermal sweep (distinct keys, same file).
-    const SweepResult isoWarm = runSweep(SweepSpec(iso), path);
+    const SweepResult isoWarm = runSweep(SweepSpec(iso), dir);
     EXPECT_EQ(isoWarm.simulations, 0u);
-    const SweepResult thWarm = runSweep(SweepSpec(thermal), path);
+    const SweepResult thWarm = runSweep(SweepSpec(thermal), dir);
     EXPECT_EQ(thWarm.simulations, 0u);
     for (std::size_t i = 0; i < isoFresh.raw.size(); ++i) {
         EXPECT_EQ(isoFresh.raw[i].execTicks, isoWarm.raw[i].execTicks);
         EXPECT_EQ(isoFresh.raw[i].maxTempC, isoWarm.raw[i].maxTempC);
     }
-    std::remove(path.c_str());
+    std::filesystem::remove_all(dir);
 }
 
 } // namespace

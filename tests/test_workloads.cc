@@ -18,6 +18,20 @@
 #include "workload/micro.hh"
 #include "workload/synthetic.hh"
 
+namespace refrint
+{
+
+/** gtest prints a parameter into the test's listed name; print a
+ *  workload by name, not by its per-process address, so the name is the
+ *  same on every run. */
+void
+PrintTo(const Workload *w, std::ostream *os)
+{
+    *os << w->name();
+}
+
+} // namespace refrint
+
 namespace refrint::test
 {
 

@@ -13,6 +13,7 @@
  * an error, not a silent 1.
  */
 
+#include <algorithm>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
@@ -67,8 +68,8 @@ struct Args
     double decayUs = 0.0;
     double ambientC = 0.0; ///< 0 = thermal subsystem off
     std::string ambients = "45,65,85"; ///< thermal-study axis
-    std::string cache; ///< result cache; empty = $REFRINT_CACHE/default
-    std::string store; ///< sharded result store dir (replaces --cache)
+    std::string cache; ///< cache migrate: legacy file to import
+    std::string store; ///< result store dir; empty = the default store
     std::string plan;  ///< JSON plan file replacing the built-in grid
     std::string jsonl; ///< JSON Lines result sink ("-" = stdout)
     std::string csv;   ///< CSV result sink ("-" = stdout)
@@ -76,7 +77,7 @@ struct Args
     unsigned workers = 0;   ///< sweep: shard the plan across N workers
     unsigned retries = 1;   ///< sweep --workers: extra attempts/range
     double workerTimeout = 0; ///< sweep --workers: no-progress deadline
-    bool sync = false;      ///< --store: fdatasync every append
+    bool sync = false;      ///< fdatasync every store append
     bool repair = false;    ///< cache scrub: quarantine + rebuild
     std::string range;      ///< worker: scenario index range "A:B"
     std::string socket;     ///< serve/submit: unix socket path
@@ -100,24 +101,23 @@ struct Command
     const char *summary; ///< one line for the command index
     const char *usage;   ///< synopsis + options for `help <cmd>`
     int (*run)(const Args &);
-    bool runsPlans = false; ///< accepts the shared sink/cache flags
+    bool runsPlans = false; ///< accepts the shared sink/store flags
     bool usesPlan = false;  ///< accepts --plan without the sink flags
                             ///< (worker, submit)
 };
 
 /** Flags shared by every plan-running command. */
 const char kCommonSinkHelp[] =
-    "\nshared sink/cache options:\n"
+    "\nshared sink/store options:\n"
     "  --jsonl FILE     stream one JSON object per run; \"-\" streams\n"
     "                   to stdout and replaces the default report\n"
     "  --csv FILE       stream one CSV row per run (\"-\" as above)\n"
     "  --progress       per-run progress ticker on stderr\n"
-    "  --cache PATH     result cache (default $REFRINT_CACHE or\n"
-    "                   ./refrint_sweep_cache.csv)\n"
-    "  --store DIR      sharded result store directory (crash- and\n"
-    "                   multi-process-safe; replaces --cache)\n"
+    "  --store DIR      result store directory (default $REFRINT_STORE\n"
+    "                   or ./refrint_store; REFRINT_STORE= keeps rows\n"
+    "                   in memory only)\n"
     "  --sync           fdatasync every store append (power-loss\n"
-    "                   durability per row; needs --store)\n"
+    "                   durability per row)\n"
     "  --jobs N         worker threads (default $REFRINT_JOBS or 1)\n";
 
 void
@@ -213,6 +213,10 @@ parseArgs(int argc, char **argv, int first)
                        "ship plans (sweep, figures, thermal-study, "
                        "worker, submit)",
                        k.c_str());
+        if (k == "--cache" && (gActive == nullptr ||
+                               std::strcmp(gActive->name, "cache") != 0))
+            usageError("--cache names the legacy file 'cache migrate' "
+                       "imports; results live in a --store DIR");
         if ((k == "--jsonl" || k == "--csv" || k == "--progress") &&
             (gActive == nullptr || !gActive->runsPlans))
             usageError("%s applies only to the plan-running commands "
@@ -373,30 +377,14 @@ parseAmbients(const std::string &list)
     return out;
 }
 
-/** Resolve the sweep cache path: --cache beats $REFRINT_CACHE. */
-std::string
-cachePathFor(const Args &a)
-{
-    return a.cache.empty() ? defaultCachePath() : a.cache;
-}
-
-/** Build the session behind a plan-running command: a sharded store
- *  when --store is given, the legacy single-file cache otherwise. */
+/** Build the session behind a plan-running command: --store, else
+ *  $REFRINT_STORE, else ./refrint_store. */
 std::unique_ptr<Session>
 sessionFor(const Args &a)
 {
-    if (!a.store.empty() && !a.cache.empty())
-        usageError("--store and --cache are exclusive (one result "
-                   "location per run)");
-    if (!a.store.empty())
-        return std::make_unique<Session>(
-            std::make_unique<ShardedStore>(a.store, 0, a.sync),
-            a.jobs);
-    if (a.sync)
-        usageError("--sync needs --store DIR (the legacy cache has no "
-                   "durable append mode)");
+    const std::string dir = a.store.empty() ? defaultStoreDir() : a.store;
     return std::make_unique<Session>(
-        SessionOptions{cachePathFor(a), a.jobs});
+        std::make_unique<ShardedStore>(dir, 0, a.sync), a.jobs);
 }
 
 // ---------------------------------------------------------------------
@@ -486,16 +474,27 @@ attachCommonSinks(const Args &a, SinkSet &sinks)
 // Plan builders: each subcommand's flags -> one ExperimentPlan.
 // ---------------------------------------------------------------------
 
+/** References per core for a plan: --refs, else $REFRINT_REFS, else
+ *  the CLI default.  A flag always beats the environment. */
+std::uint64_t
+planRefs(const Args &a)
+{
+    const bool given = std::find(a.gridFlags.begin(), a.gridFlags.end(),
+                                 "--refs") != a.gridFlags.end();
+    return given ? a.refs : envU64("REFRINT_REFS", a.refs);
+}
+
 /** The sweep/figures grid for the given flags (the paper's Table 5.4
  *  grid, possibly on a scaled or hybrid machine). */
 ExperimentPlan
 sweepPlanFor(const Args &a, bool announceMachine)
 {
     SweepSpec spec;
-    spec.sim.refsPerCore = a.refs;
-    // --app SPEC (repeatable) replaces the paper-app axis; specs can
-    // carry method parameters ("agg:tables=part,..."), which the
-    // comma-splitting REFRINT_APPS env list cannot.
+    spec.sim.refsPerCore = planRefs(a);
+    // --app SPEC (repeatable) replaces the paper-app axis (else
+    // $REFRINT_APPS does); specs can carry method parameters
+    // ("agg:tables=part,..."), which the comma-splitting REFRINT_APPS
+    // env list cannot.
     for (const std::string &s : a.apps) {
         ResolvedWorkload rw;
         std::string err;
@@ -520,7 +519,7 @@ ExperimentPlan
 thermalPlanFor(const Args &a)
 {
     SimParams sim;
-    sim.refsPerCore = a.refs;
+    sim.refsPerCore = planRefs(a);
     sim.seed = a.seed;
     std::vector<MachineAxis> machines;
     if (a.cores != 16 || a.hybrid)
@@ -663,9 +662,6 @@ runSweepCoordinated(const Args &a)
                    "--jsonl FILE (or --jsonl -)");
     if (!a.csv.empty() || a.progress)
         usageError("sweep --workers supports only the --jsonl sink");
-    if (!a.cache.empty())
-        usageError("workers share a --store directory; the legacy "
-                   "--cache file is single-process");
 
     char exe[4096];
     const ssize_t n = ::readlink("/proc/self/exe", exe, sizeof(exe) - 1);
@@ -806,8 +802,8 @@ cmdBinning(const Args &a)
     rejectPositionals(a);
     BinningSink sink;
     std::vector<ResultSink *> sinks{&sink};
-    // The binning plan simulates nothing; keep the run cache untouched.
-    Session session(SessionOptions{"", 0});
+    // The binning plan simulates nothing; keep the store in memory.
+    Session session(std::make_unique<ShardedStore>(""), 0);
     session.run(ExperimentPlan::binning(), sinks);
     return 0;
 }
@@ -860,17 +856,14 @@ cmdWorker(const Args &a)
         begin >= end)
         usageError("worker needs --range A:B with A < B (scenario "
                    "indices into the plan)");
-    if (!a.store.empty() && !a.cache.empty())
-        usageError("--store and --cache are exclusive");
 
     WorkerRangeOptions opts;
     opts.planPath = a.plan;
     opts.begin = static_cast<std::size_t>(begin);
     opts.end = static_cast<std::size_t>(end);
-    opts.storeDir = a.store;
-    opts.cachePath = a.cache; // deliberately NOT the $REFRINT_CACHE
-                              // default: an unasked-for shared file
-                              // would break coordinator byte-identity
+    opts.storeDir = a.store; // deliberately NOT the $REFRINT_STORE
+                             // default: an unasked-for shared store
+                             // would break coordinator byte-identity
     opts.jobs = a.jobs == 0 ? 1 : a.jobs;
     return runWorkerRange(opts);
 }
@@ -882,13 +875,10 @@ cmdServe(const Args &a)
     if (a.socket.empty() == (a.port == 0))
         usageError("serve needs exactly one of --socket PATH or "
                    "--port N");
-    if (!a.store.empty() && !a.cache.empty())
-        usageError("--store and --cache are exclusive");
     ServeOptions opts;
     opts.socketPath = a.socket;
     opts.port = a.port;
     opts.storeDir = a.store;
-    opts.cachePath = a.cache;
     opts.jobs = a.jobs;
     opts.maxQueue = a.maxQueue;
     opts.requestTimeoutSec = a.requestTimeout;
@@ -942,8 +932,8 @@ cmdCache(const Args &a)
                    action == "migrate" ? "import into" : "verify");
 
     if (action == "scrub") {
-        if (a.repair && !a.cache.empty())
-            usageError("scrub repairs in place; drop --cache");
+        if (!a.cache.empty())
+            usageError("scrub checks the store in place; drop --cache");
         const ScrubReport rep = scrubStore(a.store, a.repair, stdout);
         std::printf("scrub: %u shard(s), %zu committed row(s), "
                     "%zu unique key(s); %zu torn tail(s), %zu mid-file "
@@ -961,28 +951,33 @@ cmdCache(const Args &a)
         return rep.clean() || a.repair ? 0 : 1;
     }
 
-    const std::string cachePath = cachePathFor(a);
+    if (a.cache.empty())
+        usageError("cache migrate needs --cache FILE (the legacy "
+                   "single-file cache to import)");
     ShardedStore store(a.store);
-    const std::size_t n = migrateLegacyCache(cachePath, store);
+    const MigrateReport rep = migrateLegacyCache(a.cache, store);
     std::printf("migrated %zu row(s) from %s into %s (%u shards, "
                 "%zu rows total)\n",
-                n, cachePath.c_str(), a.store.c_str(), store.shards(),
-                store.rowCount());
-    return 0;
+                rep.imported, a.cache.c_str(), a.store.c_str(),
+                store.shards(), store.rowCount());
+    if (rep.skipped == 0)
+        return 0;
+    std::fprintf(stderr,
+                 "cache migrate: skipped %zu malformed line(s) of %s\n",
+                 rep.skipped, a.cache.c_str());
+    return 1;
 }
 
 int
 cmdValidate(const Args &a)
 {
     rejectPositionals(a);
-    // No $REFRINT_CACHE default here: validation targets one corpus
+    // No $REFRINT_STORE default here: validation targets one corpus
     // the caller names explicitly, so a forgotten flag is a usage
-    // error rather than a silent scan of an unrelated file.
-    if (a.store.empty() == a.cache.empty())
-        usageError("validate needs exactly one of --store DIR or "
-                   "--cache PATH (the corpus to check)");
+    // error rather than a silent scan of an unrelated store.
+    if (a.store.empty())
+        usageError("validate needs --store DIR (the corpus to check)");
     ValidateOptions opts;
-    opts.cachePath = a.cache;
     opts.storeDir = a.store;
     opts.jsonOut = a.out;
     opts.verbose = a.verbose;
@@ -1140,8 +1135,8 @@ const Command kCommands[] = {
      "  --range A:B      scenario indices to run, A inclusive to B\n"
      "                   exclusive; rows stream to stdout as JSON\n"
      "                   Lines with their global plan identity\n"
-     "  --store DIR      sharded result store shared by all workers\n"
-     "  --cache PATH     legacy cache (single worker only)\n"
+     "  --store DIR      result store shared by all workers (default\n"
+     "                   none: rows stay in memory)\n"
      "  --jobs N         threads inside this worker (default 1)\n"
      "\nNormally spawned by 'sweep --workers N'; runnable by hand for\n"
      "debugging a shard.\n",
@@ -1150,9 +1145,8 @@ const Command kCommands[] = {
      "usage: refrint_cli serve (--socket PATH | --port N) [options]\n"
      "  --socket PATH    listen on a unix socket\n"
      "  --port N         listen on 127.0.0.1:N\n"
-     "  --store DIR      sharded result store (answers warm scenarios\n"
-     "                   without simulating)\n"
-     "  --cache PATH     legacy cache instead of a store\n"
+     "  --store DIR      result store (answers warm scenarios without\n"
+     "                   simulating; default none: rows stay in memory)\n"
      "  --jobs N         worker threads for cold scenarios\n"
      "  --max-queue N    pending-connection bound; a full queue sheds\n"
      "                   new connections with {\"error\":\"overloaded\"}\n"
@@ -1180,27 +1174,25 @@ const Command kCommands[] = {
      "without sleeps.  Exits 1 when the server answers an error.\n",
      cmdSubmit, /*runsPlans=*/false, /*usesPlan=*/true},
     {"cache", "migrate into, or scrub & repair, a sharded store",
-     "usage: refrint_cli cache migrate --store DIR [--cache PATH]\n"
+     "usage: refrint_cli cache migrate --store DIR --cache FILE\n"
      "       refrint_cli cache scrub   --store DIR [--repair]\n"
      "  --store DIR      the sharded store to import into / verify\n"
-     "  --cache PATH     migrate: source cache file (default\n"
-     "                   $REFRINT_CACHE or ./refrint_sweep_cache.csv);\n"
-     "                   read, never modified\n"
+     "  --cache FILE     migrate: the legacy single-file cache (v5-v8)\n"
+     "                   to import; read, never modified\n"
      "  --repair         scrub: quarantine damaged lines to\n"
      "                   shard-NNN.bad and atomically rebuild each\n"
      "                   shard from its valid rows (duplicates\n"
      "                   compacted last-wins)\n"
      "\nMigrated rows are byte-identical to freshly simulated ones, so\n"
-     "a follow-up 'sweep --store DIR' is all-warm.  'cache scrub'\n"
-     "verifies every record's framing checksum, tells crash-torn\n"
-     "tails from mid-file corruption, and exits 1 on unrepaired\n"
-     "damage.\n",
+     "a follow-up 'sweep --store DIR' is all-warm.  Migrate exits 1\n"
+     "on a header other than v5-v8, and after importing the good rows\n"
+     "when any line was malformed.  'cache scrub' verifies every\n"
+     "record's framing checksum, tells crash-torn tails from mid-file\n"
+     "corruption, and exits 1 on unrepaired damage.\n",
      cmdCache},
     {"validate", "check a result corpus against the model invariants",
-     "usage: refrint_cli validate (--store DIR | --cache PATH) "
-     "[options]\n"
-     "  --store DIR      sharded result store to validate\n"
-     "  --cache PATH     legacy single-file cache to validate\n"
+     "usage: refrint_cli validate --store DIR [options]\n"
+     "  --store DIR      result store to validate\n"
      "  --out FILE       write a machine-readable JSON report\n"
      "  --verbose        list every finding, not just the summary\n"
      "\nStreams every row of the corpus and checks row-local\n"
