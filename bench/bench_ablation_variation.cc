@@ -24,8 +24,7 @@ int
 main()
 {
     using namespace refrint;
-    SimParams sim;
-    sim.refsPerCore = bench::defaultRefs();
+    const SimParams sim = bench::paperGrid().sim;
     const Workload *app = findWorkload("fft");
     if (app == nullptr)
         return 1;

@@ -1,38 +1,51 @@
 /**
  * @file
  * Shared setup for the figure-reproduction benches: build the paper's
- * sweep spec (honouring REFRINT_REFS / REFRINT_APPS / REFRINT_STORE
- * environment overrides) and run-or-load the shared result store.
+ * sweep grid (honouring the REFRINT_REFS / REFRINT_APPS environment
+ * overrides) and run-or-load it against the shared result store
+ * ($REFRINT_STORE).
  */
 
 #ifndef REFRINT_BENCH_BENCH_COMMON_HH
 #define REFRINT_BENCH_BENCH_COMMON_HH
 
 #include <cstdio>
-#include <cstdlib>
+#include <memory>
 
-#include "common/env.hh"
+#include "api/experiment_plan.hh"
+#include "api/session.hh"
 #include "harness/report.hh"
 #include "harness/sweep.hh"
+#include "service/store.hh"
 
 namespace refrint::bench
 {
 
-/** Default refs/core for the figure benches (overridable via env). */
-inline std::uint64_t
-defaultRefs()
+/** The paper grid at 120000 refs/core, with the REFRINT_APPS /
+ *  REFRINT_REFS overrides applied. */
+inline ExperimentPlan::Grid
+paperGrid()
 {
-    return envU64("REFRINT_REFS", 120'000);
+    ExperimentPlan::Grid g;
+    g.sim.refsPerCore = 120'000;
+    applyEnvAxes(g.apps, g.sim);
+    return g;
 }
 
-/** Run (or load) the paper sweep shared by the figure benches.
- *  Parallelized across $REFRINT_JOBS worker threads when set. */
+/** Run (or load) @p g against the shared result store, parallelized
+ *  across $REFRINT_JOBS worker threads when set. */
+inline SweepResult
+runGrid(const ExperimentPlan::Grid &g)
+{
+    return Session(std::make_unique<ShardedStore>(defaultStoreDir()), 0)
+        .run(ExperimentPlan::grid(g));
+}
+
+/** Run (or load) the paper sweep shared by the figure benches. */
 inline SweepResult
 paperSweep()
 {
-    SweepSpec spec;
-    spec.sim.refsPerCore = defaultRefs();
-    return runSweep(std::move(spec));
+    return runGrid(paperGrid());
 }
 
 } // namespace refrint::bench

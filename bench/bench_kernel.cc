@@ -42,6 +42,7 @@
 #include <string>
 
 #include "bench_common.hh"
+#include "common/env.hh"
 #include "common/prng.hh"
 #include "mem/cache_array.hh"
 #include "sim/event_queue.hh"
@@ -283,7 +284,7 @@ main(int argc, char **argv)
             << "  \"peak_rss_kb\": " << rssKb << ",\n"
             << "  \"sweep_wall_s\": " << sweepWall << ",\n"
             << "  \"sweep_simulations\": " << sweepSims << ",\n"
-            << "  \"refs_per_core\": " << bench::defaultRefs() << "\n"
+            << "  \"refs_per_core\": " << bench::paperGrid().sim.refsPerCore << "\n"
             << "}\n";
     }
 

@@ -71,8 +71,7 @@ main()
 {
     using namespace refrint;
     const Tick retention = usToTicks(50.0);
-    SimParams sim;
-    sim.refsPerCore = bench::defaultRefs();
+    const SimParams sim = bench::paperGrid().sim;
 
     // One representative per class (Table 6.1).
     const std::vector<std::string> appNames = {"fft", "barnes",

@@ -3,8 +3,8 @@
  * Thermal scenario bench: sweeps the ambient-temperature axis for the
  * headline policies and reports how the refresh/energy trade-off moves
  * with die temperature.  Shares the sweep result store (thermal rows
- * are ambient-keyed), honours REFRINT_REFS / REFRINT_APPS /
- * REFRINT_JOBS, and with --json PATH emits a machine-readable perf
+ * are ambient-keyed), honours REFRINT_REFS / REFRINT_JOBS (the app
+ * is always fft), and with --json PATH emits a machine-readable perf
  * snapshot (wall time, simulations executed, rows produced) so CI can
  * track the thermal sweep's cost over time.
  */
@@ -26,17 +26,16 @@ main(int argc, char **argv)
             jsonPath = argv[++i];
     }
 
-    SweepSpec spec;
-    spec.apps = {findWorkload("fft")};
-    spec.retentions = {usToTicks(50.0)};
-    spec.policies = {RefreshPolicy::periodic(DataPolicy::All),
-                     RefreshPolicy::refrint(DataPolicy::Valid),
-                     RefreshPolicy::refrint(DataPolicy::WB, 32, 32)};
-    spec.ambients = {45.0, 65.0, 85.0};
-    spec.sim.refsPerCore = bench::defaultRefs();
+    ExperimentPlan::Grid g = bench::paperGrid();
+    g.apps = {findWorkload("fft")};
+    g.retentions = {usToTicks(50.0)};
+    g.policies = {RefreshPolicy::periodic(DataPolicy::All),
+                  RefreshPolicy::refrint(DataPolicy::Valid),
+                  RefreshPolicy::refrint(DataPolicy::WB, 32, 32)};
+    g.ambients = {45.0, 65.0, 85.0};
 
     const auto t0 = std::chrono::steady_clock::now();
-    const SweepResult s = runSweep(std::move(spec));
+    const SweepResult s = bench::runGrid(g);
     const double wallSec =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       t0)
@@ -67,7 +66,7 @@ main(int argc, char **argv)
             << "  \"wall_s\": " << wallSec << ",\n"
             << "  \"simulations\": " << s.simulations << ",\n"
             << "  \"rows\": " << s.normalized.size() << ",\n"
-            << "  \"refs_per_core\": " << bench::defaultRefs() << ",\n"
+            << "  \"refs_per_core\": " << g.sim.refsPerCore << ",\n"
             << "  \"max_temp_c\": " << hottest << "\n"
             << "}\n";
     }

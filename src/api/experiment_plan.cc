@@ -1,5 +1,6 @@
 #include "api/experiment_plan.hh"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <fstream>
@@ -342,42 +343,33 @@ ExperimentPlan::saveFile(const std::string &path) const
 }
 
 ExperimentPlan
-ExperimentPlan::fromSweepSpec(SweepSpec spec)
+ExperimentPlan::grid(const Grid &g)
 {
-    spec.finalize();
-
     ExperimentPlan plan;
     plan.name = "paper-sweep";
-    plan.energy = spec.energy;
-
-    // The machine axis: an empty list means the paper's default
-    // machine (exact legacy behavior, legacy cache keys).
-    std::vector<MachineAxis> machines = spec.machines;
-    if (machines.empty())
-        machines.push_back(MachineAxis{});
 
     const std::size_t perApp =
-        spec.retentions.size() * spec.policies.size() *
-        std::max<std::size_t>(1, spec.ambients.size());
-    plan.scenarios.reserve(machines.size() * spec.apps.size() *
+        g.retentions.size() * g.policies.size() *
+        std::max<std::size_t>(1, g.ambients.size());
+    plan.scenarios.reserve(g.machines.size() * g.apps.size() *
                            (1 + perApp));
     plan.baseline.reserve(plan.scenarios.capacity());
 
-    for (const MachineAxis &m : machines) {
-        for (const Workload *app : spec.apps) {
+    for (const MachineAxis &m : g.machines) {
+        for (const Workload *app : g.apps) {
             Scenario base;
             base.app = app->name();
             base.config = "SRAM";
             base.cores = m.cores;
-            base.sim = spec.sim;
+            base.sim = g.sim;
             base.workload = app;
             const int baseIdx = plan.addBaseline(std::move(base));
 
             auto pushEdram = [&](double ambientC) {
-                for (Tick ret : spec.retentions) {
+                for (Tick ret : g.retentions) {
                     const double retUs =
                         static_cast<double>(ret) / 1e3;
-                    for (const RefreshPolicy &pol : spec.policies) {
+                    for (const RefreshPolicy &pol : g.policies) {
                         Scenario s;
                         s.app = app->name();
                         s.config = pol.name();
@@ -385,34 +377,20 @@ ExperimentPlan::fromSweepSpec(SweepSpec spec)
                         s.ambientC = ambientC;
                         s.cores = m.cores;
                         s.hybrid = m.hybrid;
-                        s.sim = spec.sim;
+                        s.sim = g.sim;
                         s.workload = app;
                         plan.add(std::move(s), baseIdx);
                     }
                 }
             };
-            if (spec.ambients.empty()) {
+            if (g.ambients.empty()) {
                 pushEdram(0.0);
             } else {
-                for (double amb : spec.ambients)
+                for (double amb : g.ambients)
                     pushEdram(amb);
             }
         }
     }
-    return plan;
-}
-
-ExperimentPlan
-ExperimentPlan::paperSweep()
-{
-    return fromSweepSpec(SweepSpec{});
-}
-
-ExperimentPlan
-ExperimentPlan::figures()
-{
-    ExperimentPlan plan = fromSweepSpec(SweepSpec{});
-    plan.name = "figures";
     return plan;
 }
 
@@ -426,24 +404,16 @@ ExperimentPlan::thermalStudy(const std::string &app, double retentionUs,
     if (w == nullptr)
         fatal("thermal study names unknown application '%s'\n%s",
               app.c_str(), workloadRegistry().describe().c_str());
-    SweepSpec spec;
-    spec.apps = {w};
-    spec.retentions = {usToTicks(retentionUs)};
-    spec.policies = {RefreshPolicy::periodic(DataPolicy::All),
-                     RefreshPolicy::refrint(DataPolicy::WB, 32, 32)};
-    spec.ambients = ambients;
-    spec.sim = sim;
-    spec.machines = machines;
-    ExperimentPlan plan = fromSweepSpec(std::move(spec));
+    Grid g;
+    g.apps = {w};
+    g.retentions = {usToTicks(retentionUs)};
+    g.policies = {RefreshPolicy::periodic(DataPolicy::All),
+                  RefreshPolicy::refrint(DataPolicy::WB, 32, 32)};
+    g.machines = machines;
+    g.ambients = ambients;
+    g.sim = sim;
+    ExperimentPlan plan = grid(g);
     plan.name = "thermal-study";
-    return plan;
-}
-
-ExperimentPlan
-ExperimentPlan::binning()
-{
-    ExperimentPlan plan;
-    plan.name = "binning";
     return plan;
 }
 

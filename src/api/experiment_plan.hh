@@ -8,6 +8,10 @@
  * order the legacy Cartesian sweep used, so running the default paper
  * plan reproduces the legacy sweep byte for byte.
  *
+ * Plans are built scenario by scenario (addBaseline/add) or crossed
+ * from the axes of a Grid (grid(), thermalStudy()), and run through
+ * Session::run (api/session.hh), the one way to execute an experiment.
+ *
  * Plans serialize to JSON (toJson/fromJson, loadFile/saveFile), making
  * any experiment declarative and shareable: `refrint_cli plan dump`
  * writes one, `refrint_cli sweep --plan file.json` replays it, and a
@@ -74,19 +78,38 @@ struct ExperimentPlan
     // ---- named builders ----
 
     /**
-     * Flatten a sweep spec into a plan, in the exact legacy order:
-     * per machine, per app, the SRAM baseline first, then ambient x
-     * retention x policy.  Finalizes the spec (paper defaults, env
-     * overrides) first.
+     * The axes of a Cartesian experiment grid.  Every axis defaults
+     * to the paper's Table 5.4 value; a caller narrows an axis by
+     * assigning it, and an empty apps/retentions/policies/machines
+     * axis yields no scenarios.  Nothing here reads the environment.
      */
-    static ExperimentPlan fromSweepSpec(SweepSpec spec);
+    struct Grid
+    {
+        std::vector<const Workload *> apps = paperWorkloads();
+        std::vector<Tick> retentions = paperRetentions();
+        std::vector<RefreshPolicy> policies = paperPolicySweep();
 
-    /** The paper's full Table 5.4 sweep (473 runs at paper scale). */
-    static ExperimentPlan paperSweep();
+        /** Machines to sweep.  The default machine keeps the legacy
+         *  store keys; any other carries a "|mach=" key segment, so
+         *  its rows never collide with the default machine's. */
+        std::vector<MachineAxis> machines = {MachineAxis{}};
 
-    /** Scenario set behind Figs. 6.1-6.4 + the headline table (the
-     *  same grid as paperSweep; figures are a reporting choice). */
-    static ExperimentPlan figures();
+        /** Ambient temperatures (deg C) for the thermal subsystem.
+         *  Empty runs the paper's isothermal machine; otherwise every
+         *  (retention x policy) point runs once per ambient.  The SRAM
+         *  baseline is never thermal (SRAM retention is unlimited). */
+        std::vector<double> ambients;
+
+        SimParams sim;
+    };
+
+    /**
+     * Cross @p g into a plan named "paper-sweep", in the legacy sweep
+     * order: per machine, per app, the SRAM baseline first, then
+     * ambient x retention x policy.  The default grid is the paper's
+     * full Table 5.4 sweep (473 runs).
+     */
+    static ExperimentPlan grid(const Grid &g);
 
     /**
      * The ambient-temperature study: the headline policy pair
@@ -98,11 +121,7 @@ struct ExperimentPlan
                                        const std::vector<double> &ambients,
                                        const SimParams &sim = {},
                                        const std::vector<MachineAxis>
-                                           &machines = {});
-
-    /** The Table 6.1 classification: no simulations of its own (the
-     *  binning harness measures directly); pairs with BinningSink. */
-    static ExperimentPlan binning();
+                                           &machines = {MachineAxis{}});
 
     bool operator==(const ExperimentPlan &o) const;
     bool operator!=(const ExperimentPlan &o) const { return !(*this == o); }

@@ -5,9 +5,13 @@
  * A Session owns the result store and the worker configuration;
  * Session::run(plan, sinks) executes every scenario of a plan —
  * store-first, in parallel, results streamed to the sinks in plan
- * order — and returns the same SweepResult aggregate the legacy
- * runSweep() produced.  runSweep(), the thermal study, and the figure
- * pipeline are all thin plan-builders over this one entry point.
+ * order — and returns the SweepResult aggregate.  It is the one way to
+ * execute an experiment: the paper sweep, the thermal study, the
+ * figure benches and every plan-running CLI command build an
+ * ExperimentPlan and hand it here, e.g.
+ *
+ *   Session(std::make_unique<ShardedStore>(dir), jobs)
+ *       .run(ExperimentPlan::grid(g));
  *
  * Determinism contract (inherited from the legacy sweep engine):
  * results land in plan order regardless of completion order, every run

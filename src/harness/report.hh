@@ -3,6 +3,8 @@
  * Text renderers for the paper's tables and figures.  Each bench binary
  * calls one of these to print the rows/series the corresponding figure
  * plots (normalized to full-SRAM, exactly as the paper's Y axes are).
+ * The renderers over a sweep aggregate also come as ResultSinks for
+ * Session::run(); printBinning measures directly and runs no plan.
  */
 
 #ifndef REFRINT_HARNESS_REPORT_HH
@@ -37,7 +39,8 @@ void printFig63(const SweepResult &s, int classFilter,
 void printFig64(const SweepResult &s, int classFilter,
                 std::FILE *out = stdout);
 
-/** Table 6.1: measured application binning vs the paper's. */
+/** Table 6.1: measured application binning vs the paper's (measures
+ *  each app directly; needs no sweep). */
 void printBinning(std::FILE *out = stdout);
 
 /** Abstract/§6 headline numbers: P.all and R.WB(32,32) at 50 us. */
@@ -139,22 +142,6 @@ class DisagreementSink : public ResultSink
     end(const ExperimentPlan &, const SweepResult &s) override
     {
         printDisagreement(s, out_);
-    }
-
-  private:
-    std::FILE *out_;
-};
-
-/** Table 6.1 (printBinning): measures directly, needs no scenarios —
- *  pair with ExperimentPlan::binning(). */
-class BinningSink : public ResultSink
-{
-  public:
-    explicit BinningSink(std::FILE *out = stdout) : out_(out) {}
-    void
-    end(const ExperimentPlan &, const SweepResult &) override
-    {
-        printBinning(out_);
     }
 
   private:

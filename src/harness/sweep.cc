@@ -2,15 +2,11 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <memory>
 #include <sstream>
 
-#include "api/experiment_plan.hh"
-#include "api/session.hh"
 #include "common/env.hh"
 #include "common/log.hh"
-#include "harness/pool.hh"
-#include "service/store.hh"
+#include "workload/method.hh"
 
 namespace refrint
 {
@@ -61,32 +57,35 @@ defaultStoreDir()
 }
 
 void
-SweepSpec::finalize()
+applyEnvAxes(std::vector<const Workload *> &apps, SimParams &sim)
 {
-    if (apps.empty()) {
-        if (const char *a = std::getenv("REFRINT_APPS")) {
-            // Comma-separated allow list, e.g. REFRINT_APPS=fft,lu
-            std::stringstream ss(a);
-            std::string tok;
-            while (std::getline(ss, tok, ',')) {
-                if (const Workload *w = findWorkload(tok))
-                    apps.push_back(w);
-                else
-                    warn("REFRINT_APPS: unknown app '%s'", tok.c_str());
-            }
+    const char *list = std::getenv("REFRINT_APPS");
+    if (list != nullptr && *list != '\0') {
+        // Comma-separated allow list, e.g. REFRINT_APPS=fft,lu
+        apps.clear();
+        std::stringstream ss(list);
+        std::string tok;
+        while (std::getline(ss, tok, ',')) {
+            ResolvedWorkload rw;
+            std::string err;
+            if (!workloadRegistry().resolve(tok, rw, err))
+                fatal("REFRINT_APPS: %s\n%s", err.c_str(),
+                      workloadRegistry().describe().c_str());
+            apps.push_back(rw.workload);
         }
-        if (apps.empty())
-            apps = paperWorkloads();
     }
-    if (retentions.empty())
-        retentions = paperRetentions();
-    if (policies.empty())
-        policies = paperPolicySweep();
-    if (sim.refsPerCore == 0) {
-        const std::uint64_t refs = envU64("REFRINT_REFS", 0);
-        sim.refsPerCore = refs > 0 ? refs : SimParams{}.refsPerCore;
+    if (const char *refs = std::getenv("REFRINT_REFS")) {
+        std::uint64_t v = 0;
+        if (!parseU64Strict(refs, v))
+            warn("REFRINT_REFS: ignoring malformed value '%s' (want "
+                 "plain decimal digits)",
+                 refs);
+        else if (v == 0)
+            fatal("REFRINT_REFS=0: every run needs at least one "
+                  "reference per core");
+        else
+            sim.refsPerCore = v;
     }
-    jobs = resolveJobs(jobs);
 }
 
 namespace
@@ -204,16 +203,6 @@ SweepResult::find(const std::string &app, double retentionUs,
             return &r;
     }
     return nullptr;
-}
-
-SweepResult
-runSweep(SweepSpec spec, const std::string &storeDir)
-{
-    // fromSweepSpec finalizes the spec; the Session resolves jobs the
-    // same way finalize would (explicit value, else $REFRINT_JOBS).
-    const unsigned jobs = spec.jobs;
-    Session session(std::make_unique<ShardedStore>(storeDir), jobs);
-    return session.run(ExperimentPlan::fromSweepSpec(std::move(spec)));
 }
 
 } // namespace refrint

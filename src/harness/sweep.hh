@@ -1,14 +1,16 @@
 /**
  * @file
- * The paper's full parameter sweep (Table 5.4): 3 retention times x
- * {Periodic, Refrint} x {All, Valid, Dirty, WB(4,4), WB(8,8),
- * WB(16,16), WB(32,32)} per application, plus one SRAM baseline run per
- * application — 43 runs per app.
+ * The axes and the aggregate of the paper's parameter sweep (Table
+ * 5.4): 3 retention times x {Periodic, Refrint} x {All, Valid, Dirty,
+ * WB(4,4), WB(8,8), WB(16,16), WB(32,32)} per application, plus one
+ * SRAM baseline run per application — 43 runs per app.
  *
- * A sweep is expensive (473 simulations at full size), so results are
- * kept in a result store (service/store.hh) keyed by every parameter
- * that affects them; all figure benches share the store, and
- * re-running a bench is free.
+ * ExperimentPlan::grid (api/experiment_plan.hh) crosses these axes
+ * into a plan and a Session (api/session.hh) runs it, keeping results
+ * in a result store (service/store.hh) keyed by every parameter that
+ * affects them; all figure benches share the store, and re-running a
+ * bench is free.  The environment overrides (defaultStoreDir,
+ * applyEnvAxes) are for the command-line tool and the benches only.
  */
 
 #ifndef REFRINT_HARNESS_SWEEP_HH
@@ -48,51 +50,6 @@ struct MachineAxis
     {
         return cores == 16 && !hybrid;
     }
-};
-
-struct SweepSpec
-{
-    std::vector<const Workload *> apps; ///< defaults to all 11
-    std::vector<Tick> retentions;       ///< defaults to 50/100/200 us
-    std::vector<RefreshPolicy> policies; ///< defaults to all 14
-
-    /** Run knobs.  refsPerCore 0 (the default) means unset. */
-    SimParams sim = SimParams{0};
-    EnergyParams energy = EnergyParams::calibrated();
-
-    /**
-     * Machines to sweep.  Empty (the default) runs the paper's
-     * 16-core machine — exactly the legacy sweep, byte for byte; its
-     * cache rows keep their legacy keys.  Non-default machines key
-     * their rows with an extra "|mach=" segment, so they can never
-     * collide with (or be satisfied by) a default-machine row.
-     */
-    std::vector<MachineAxis> machines;
-
-    /**
-     * Ambient temperatures (deg C) for the thermal subsystem.  Empty
-     * (the default) runs the paper's isothermal machine — exactly the
-     * legacy sweep, byte for byte.  Non-empty adds ambient as an outer
-     * scenario axis: every (retention x policy) point is simulated once
-     * per ambient with activity-driven bank temperatures enabled.  The
-     * SRAM baseline is never thermal (SRAM retention is unlimited).
-     */
-    std::vector<double> ambients;
-
-    /**
-     * Worker threads for the sweep: each (app, policy, retention) run
-     * simulates on its own thread with its own CmpSystem/EventQueue.
-     * 0 means $REFRINT_JOBS, or serial if that is unset.  Results are
-     * bit-identical to jobs=1 (same per-run PRNG seeds; collected in
-     * spec order regardless of completion order).
-     */
-    unsigned jobs = 0;
-
-    /** Fill every field the caller left unset: apps from $REFRINT_APPS,
-     *  refsPerCore from $REFRINT_REFS, jobs from $REFRINT_JOBS, else
-     *  (and for retentions and policies) the paper defaults.  A field
-     *  the caller set is never overridden by the environment. */
-    void finalize();
 };
 
 /**
@@ -184,15 +141,15 @@ struct SweepResult
 std::string defaultStoreDir();
 
 /**
- * Run (or load from the store) the sweep described by @p spec.  A thin
- * wrapper over the experiment API: the spec flattens into an
- * ExperimentPlan (api/experiment_plan.hh) and executes through a
- * Session (api/session.hh); output is byte-identical to the historic
- * Cartesian sweep loop.
- * @param storeDir  result store directory; empty keeps rows in memory.
+ * The grid axes the environment sets, for the command-line tool and
+ * the figure benches; no plan builder and no Session reads these
+ * variables.  A non-empty $REFRINT_APPS (comma-separated workload
+ * names) replaces @p apps, a set $REFRINT_REFS replaces @p sim's
+ * refsPerCore; an unset variable leaves its axis alone.  An unknown
+ * app name or REFRINT_REFS=0 is fatal (exit 1); a malformed
+ * REFRINT_REFS ("1e6") warns and is ignored.
  */
-SweepResult runSweep(SweepSpec spec,
-                     const std::string &storeDir = defaultStoreDir());
+void applyEnvAxes(std::vector<const Workload *> &apps, SimParams &sim);
 
 } // namespace refrint
 

@@ -20,8 +20,8 @@
  *
  * This is the only result store: every Session runs against one.  A
  * store opened with an empty directory keeps its rows in memory and
- * touches no file (`REFRINT_STORE=`, the binning plan, and `serve`
- * or `worker` without --store).
+ * touches no file (`REFRINT_STORE=`, and `serve` or `worker` without
+ * --store).
  *
  * Concurrency model: any number of *processes* may append to the same
  * store concurrently — every insert is one O_APPEND write of one

@@ -4,8 +4,9 @@
  * and byte-exact legacy (v5/v6) cache-key compatibility, collision
  * freedom across the machine/ambient axes, JSON plan round-trips
  * (load -> dump -> load identity), plan builders reproducing the
- * legacy sweep order, the Session streaming-sink protocol, and the
- * full-identity SweepResult::find()/average() semantics.
+ * legacy sweep order without reading the environment, the Session
+ * streaming-sink protocol, and the full-identity
+ * SweepResult::find()/average() semantics.
  */
 
 #include <gtest/gtest.h>
@@ -313,17 +314,12 @@ TEST(JsonTest, RejectsMalformedDocuments)
 
 TEST(ExperimentPlanTest, JsonRoundTripIsIdentity)
 {
-    // Plan builders finalize the spec, which reads env overrides; pin
-    // the test to its own parameters.
-    unsetenv("REFRINT_REFS");
-    unsetenv("REFRINT_APPS");
-    SweepSpec spec;
-    spec.apps = {findWorkload("fft"), findWorkload("lu")};
-    spec.sim.refsPerCore = 4000;
-    spec.ambients = {45.0, 85.0};
-    spec.machines = {MachineAxis{16, false}, MachineAxis{32, true}};
-    const ExperimentPlan plan =
-        ExperimentPlan::fromSweepSpec(std::move(spec));
+    ExperimentPlan::Grid g;
+    g.apps = {findWorkload("fft"), findWorkload("lu")};
+    g.sim.refsPerCore = 4000;
+    g.ambients = {45.0, 85.0};
+    g.machines = {MachineAxis{16, false}, MachineAxis{32, true}};
+    const ExperimentPlan plan = ExperimentPlan::grid(g);
 
     const std::string dumped = plan.toJson();
     const ExperimentPlan reloaded = ExperimentPlan::fromJson(dumped);
@@ -336,19 +332,70 @@ TEST(ExperimentPlanTest, JsonRoundTripIsIdentity)
     EXPECT_EQ(ExperimentPlan::fromJson(dumpedAgain), plan);
 }
 
-TEST(ExperimentPlanTest, FromSweepSpecReproducesLegacyOrder)
+/** Sets an environment variable for one scope, restoring the old
+ *  value (or its absence) on exit. */
+struct ScopedEnv
 {
-    unsetenv("REFRINT_REFS");
-    unsetenv("REFRINT_APPS");
-    SweepSpec spec;
-    spec.apps = {findWorkload("fft")};
-    spec.retentions = {usToTicks(50.0), usToTicks(100.0)};
-    spec.policies = {RefreshPolicy::periodic(DataPolicy::All),
-                     RefreshPolicy::refrint(DataPolicy::WB, 32, 32)};
-    spec.sim.refsPerCore = 4000;
-    spec.machines = {MachineAxis{16, false}, MachineAxis{32, false}};
-    const ExperimentPlan plan =
-        ExperimentPlan::fromSweepSpec(std::move(spec));
+    std::string name;
+    bool had = false;
+    std::string old;
+
+    ScopedEnv(const char *n, const char *value) : name(n)
+    {
+        if (const char *v = std::getenv(n)) {
+            had = true;
+            old = v;
+        }
+        setenv(n, value, 1);
+    }
+    ~ScopedEnv()
+    {
+        if (had)
+            setenv(name.c_str(), old.c_str(), 1);
+        else
+            unsetenv(name.c_str());
+    }
+};
+
+TEST(ExperimentPlanTest, GridNeverReadsTheEnvironment)
+{
+    const ScopedEnv apps("REFRINT_APPS", "lu");
+    const ScopedEnv refs("REFRINT_REFS", "777");
+
+    // The builders ignore both variables: the default grid is the
+    // paper's full sweep at the SimParams default.
+    const ExperimentPlan plan = ExperimentPlan::grid({});
+    ASSERT_EQ(plan.size(), 473u);
+    std::set<std::string> names;
+    for (const Scenario &s : plan.scenarios) {
+        names.insert(s.app);
+        EXPECT_EQ(s.sim.refsPerCore, SimParams{}.refsPerCore);
+    }
+    EXPECT_EQ(names.size(), 11u);
+    for (const Scenario &s :
+         ExperimentPlan::thermalStudy("fft", 50.0, {45.0}).scenarios) {
+        EXPECT_EQ(s.app, "fft");
+        EXPECT_EQ(s.sim.refsPerCore, SimParams{}.refsPerCore);
+    }
+
+    // applyEnvAxes is the one place that turns them into axes.
+    ExperimentPlan::Grid g;
+    applyEnvAxes(g.apps, g.sim);
+    ASSERT_EQ(g.apps.size(), 1u);
+    EXPECT_STREQ(g.apps[0]->name(), "lu");
+    EXPECT_EQ(g.sim.refsPerCore, 777u);
+}
+
+TEST(ExperimentPlanTest, GridReproducesLegacyOrder)
+{
+    ExperimentPlan::Grid g;
+    g.apps = {findWorkload("fft")};
+    g.retentions = {usToTicks(50.0), usToTicks(100.0)};
+    g.policies = {RefreshPolicy::periodic(DataPolicy::All),
+                  RefreshPolicy::refrint(DataPolicy::WB, 32, 32)};
+    g.sim.refsPerCore = 4000;
+    g.machines = {MachineAxis{16, false}, MachineAxis{32, false}};
+    const ExperimentPlan plan = ExperimentPlan::grid(g);
 
     // Per machine: baseline, then retention x policy.
     ASSERT_EQ(plan.size(), 2u * (1u + 2u * 2u));
@@ -492,8 +539,6 @@ TEST(ExperimentPlanTest, MaxTicksIsOptionalButMustBePositive)
 
 TEST(ExperimentPlanTest, ThermalStudyBuilderMatchesCliShape)
 {
-    unsetenv("REFRINT_REFS");
-    unsetenv("REFRINT_APPS");
     const ExperimentPlan plan = ExperimentPlan::thermalStudy(
         "fft", 50.0, {45.0, 65.0, 85.0});
     // 1 baseline + 3 ambients x 1 retention x 2 policies.
@@ -541,19 +586,17 @@ class RecordingSink : public ResultSink
 ExperimentPlan
 microPlan(const Workload &w)
 {
-    SweepSpec spec;
-    spec.apps = {&w};
-    spec.retentions = {usToTicks(50.0)};
-    spec.policies = {RefreshPolicy::periodic(DataPolicy::All),
-                     RefreshPolicy::refrint(DataPolicy::WB, 32, 32)};
-    spec.sim.refsPerCore = 1200;
-    return ExperimentPlan::fromSweepSpec(std::move(spec));
+    ExperimentPlan::Grid g;
+    g.apps = {&w};
+    g.retentions = {usToTicks(50.0)};
+    g.policies = {RefreshPolicy::periodic(DataPolicy::All),
+                  RefreshPolicy::refrint(DataPolicy::WB, 32, 32)};
+    g.sim.refsPerCore = 1200;
+    return ExperimentPlan::grid(g);
 }
 
 TEST(SessionTest, StreamsRowsInPlanOrderToEverySink)
 {
-    unsetenv("REFRINT_REFS");
-    unsetenv("REFRINT_APPS");
     UniformWorkload u(8 * 1024, 0.3);
     const ExperimentPlan plan = microPlan(u);
 
@@ -576,8 +619,6 @@ TEST(SessionTest, StreamsRowsInPlanOrderToEverySink)
 
 TEST(SessionTest, JsonLinesSinkEmitsOneValidObjectPerRow)
 {
-    unsetenv("REFRINT_REFS");
-    unsetenv("REFRINT_APPS");
     UniformWorkload u(8 * 1024, 0.3);
     const ExperimentPlan plan = microPlan(u);
 
@@ -604,8 +645,6 @@ TEST(SessionTest, JsonLinesSinkEmitsOneValidObjectPerRow)
 
 TEST(SessionTest, CsvSinkQuotesCommaBearingConfigNames)
 {
-    unsetenv("REFRINT_REFS");
-    unsetenv("REFRINT_APPS");
     UniformWorkload u(8 * 1024, 0.3);
     const ExperimentPlan plan = microPlan(u); // includes R.WB(32,32)
 
@@ -643,8 +682,6 @@ TEST(SessionTest, CsvSinkQuotesCommaBearingConfigNames)
 
 TEST(SessionTest, ModifiedEnergyModelNeverReusesDefaultRows)
 {
-    unsetenv("REFRINT_REFS");
-    unsetenv("REFRINT_APPS");
     UniformWorkload u(8 * 1024, 0.3);
     const std::string dir = ::testing::TempDir() + "/api_energy_store";
     std::filesystem::remove_all(dir);
@@ -669,8 +706,6 @@ TEST(SessionTest, ModifiedEnergyModelNeverReusesDefaultRows)
 
 TEST(SessionTest, SharesWarmCacheRowsAcrossRuns)
 {
-    unsetenv("REFRINT_REFS");
-    unsetenv("REFRINT_APPS");
     UniformWorkload u(8 * 1024, 0.3);
     const std::string dir = ::testing::TempDir() + "/api_session_store";
     std::filesystem::remove_all(dir);
@@ -696,18 +731,16 @@ specPlan(const char *spec, std::uint64_t refs = 1500)
 {
     const Workload *w = workloadRegistry().find(spec);
     EXPECT_NE(w, nullptr) << spec;
-    SweepSpec sp;
-    sp.apps = {w};
-    sp.retentions = {usToTicks(50.0)};
-    sp.policies = {RefreshPolicy::periodic(DataPolicy::All)};
-    sp.sim.refsPerCore = refs;
-    return ExperimentPlan::fromSweepSpec(std::move(sp));
+    ExperimentPlan::Grid g;
+    g.apps = {w};
+    g.retentions = {usToTicks(50.0)};
+    g.policies = {RefreshPolicy::periodic(DataPolicy::All)};
+    g.sim.refsPerCore = refs;
+    return ExperimentPlan::grid(g);
 }
 
 TEST(SessionTest, MethodWorkloadsRoundTripPlanJsonAndCache)
 {
-    unsetenv("REFRINT_REFS");
-    unsetenv("REFRINT_APPS");
     const std::string dir = ::testing::TempDir() + "/api_methods_store";
     std::filesystem::remove_all(dir);
     Session session(std::make_unique<ShardedStore>(dir), 2);
@@ -741,8 +774,6 @@ TEST(SessionTest, MethodWorkloadsRoundTripPlanJsonAndCache)
 
 TEST(SessionTest, ServeRowsCarryLatencyPercentilesThroughJsonl)
 {
-    unsetenv("REFRINT_REFS");
-    unsetenv("REFRINT_APPS");
     const ExperimentPlan plan =
         specPlan("serve:rps=2e6,ws=4096,data=65536", 3000);
 

@@ -2,8 +2,9 @@
  * @file
  * The command-line tool end to end, run as a subprocess: its plan
  * builders (flags beat the REFRINT_* environment, which only fills
- * what the flags leave unset), `cache migrate`'s exit contract, and
- * the store-only result flags.
+ * what the flags leave unset; every grid flag reaches every scenario;
+ * zero refs and unknown env apps are errors, not silent defaults),
+ * `cache migrate`'s exit contract, and the store-only result flags.
  */
 
 #include <cstdio>
@@ -24,6 +25,10 @@
 #define REFRINT_CLI "refrint_cli"
 #endif
 
+#ifndef REFRINT_TEST_GOLDEN_DIR
+#define REFRINT_TEST_GOLDEN_DIR "tests/golden"
+#endif
+
 namespace refrint
 {
 namespace
@@ -32,18 +37,21 @@ namespace
 struct CliResult
 {
     int status = -1;
-    std::string out; ///< stdout; stderr is discarded
+    std::string out; ///< stdout, plus stderr when asked for
 };
 
 /** Run `refrint_cli ARGS` with only @p env of the REFRINT_* knobs
- *  set (e.g. "REFRINT_APPS=lu"). */
+ *  set (e.g. "REFRINT_APPS=lu"); stderr is discarded unless
+ *  @p withStderr merges it into out. */
 CliResult
-runCli(const std::string &env, const std::string &args)
+runCli(const std::string &env, const std::string &args,
+       bool withStderr = false)
 {
     const std::string cmd =
         "env -u REFRINT_APPS -u REFRINT_REFS -u REFRINT_JOBS "
         "-u REFRINT_STORE " +
-        env + " " REFRINT_CLI " " + args + " 2>/dev/null";
+        env + " " REFRINT_CLI " " + args +
+        (withStderr ? " 2>&1" : " 2>/dev/null");
     CliResult r;
     std::FILE *p = ::popen(cmd.c_str(), "r");
     EXPECT_NE(p, nullptr) << cmd;
@@ -126,6 +134,81 @@ TEST(CliPlanTest, SweepRunsTheFlagsNotTheEnvironment)
         ++rows;
     }
     EXPECT_EQ(rows, 43u);
+}
+
+TEST(CliPlanTest, SweepDumpIsByteIdenticalToTheGolden)
+{
+    std::ifstream in(std::string(REFRINT_TEST_GOLDEN_DIR) +
+                     "/plan_sweep_fft_lu.json");
+    ASSERT_TRUE(in.good());
+    std::stringstream golden;
+    golden << in.rdbuf();
+    const CliResult r =
+        runCli("", "plan dump sweep --app fft --app lu --refs 4000");
+    ASSERT_EQ(r.status, 0);
+    EXPECT_EQ(r.out, golden.str());
+}
+
+TEST(CliPlanTest, SeedFlagReachesEverySweepScenario)
+{
+    for (const char *what : {"sweep", "figures"}) {
+        SCOPED_TRACE(what);
+        const ExperimentPlan plan = dumpedPlan(
+            "", std::string(what) + " --app fft --refs 1000 --seed 7");
+        ASSERT_EQ(plan.size(), 43u);
+        for (const Scenario &s : plan.scenarios)
+            EXPECT_EQ(s.sim.seed, 7u) << s.key().str();
+    }
+    // And the run itself simulates with it: seed is the last key field.
+    const CliResult r = runCli("REFRINT_STORE=",
+                               "sweep --app fft --refs 60 --seed 7 "
+                               "--jsonl -");
+    ASSERT_EQ(r.status, 0);
+    std::size_t rows = 0;
+    std::stringstream lines(r.out);
+    std::string line, err;
+    while (std::getline(lines, line)) {
+        JsonValue row;
+        ASSERT_TRUE(JsonValue::parse(line, row, err)) << err;
+        const std::string key = row.get("key")->asString();
+        EXPECT_NE(key.find("|60|7"), std::string::npos) << key;
+        ++rows;
+    }
+    EXPECT_EQ(rows, 43u);
+}
+
+TEST(CliPlanTest, ZeroRefsIsAnErrorNotTheDefault)
+{
+    for (const char *cmd :
+         {"run", "sweep", "figures", "thermal-study", "plan dump sweep",
+          "plan dump thermal-study", "trace-record --out x.trace"}) {
+        SCOPED_TRACE(cmd);
+        EXPECT_EQ(runCli("REFRINT_STORE=",
+                         std::string(cmd) + " --app fft --refs 0")
+                      .status,
+                  2);
+    }
+    const CliResult env =
+        runCli("REFRINT_REFS=0", "plan dump sweep", /*withStderr=*/true);
+    EXPECT_EQ(env.status, 1);
+    EXPECT_NE(env.out.find("REFRINT_REFS"), std::string::npos)
+        << env.out;
+}
+
+TEST(CliPlanTest, UnknownEnvAppIsAnErrorNotTheFullGrid)
+{
+    const CliResult r =
+        runCli("REFRINT_APPS=ffx", "plan dump sweep", /*withStderr=*/true);
+    EXPECT_EQ(r.status, 1);
+    EXPECT_NE(r.out.find("REFRINT_APPS"), std::string::npos) << r.out;
+    // The registry listing, as an unknown --app prints it.
+    const CliResult flag =
+        runCli("", "plan dump sweep --app ffx", /*withStderr=*/true);
+    EXPECT_EQ(flag.status, 1);
+    const std::string listing =
+        flag.out.substr(flag.out.find('\n') + 1);
+    ASSERT_FALSE(listing.empty());
+    EXPECT_NE(r.out.find(listing), std::string::npos) << r.out;
 }
 
 // ---------------------------------------------------------------------

@@ -33,8 +33,8 @@
 #include <vector>
 
 #include "harness/report.hh"
-#include "harness/sweep.hh"
 #include "service/store.hh"
+#include "test_util.hh"
 
 namespace refrint
 {
@@ -61,21 +61,15 @@ readFile(const std::string &path)
     return ss.str();
 }
 
-/** The sweep spec whose output the goldens pin. */
-SweepSpec
-goldenSpec()
+/** The sweep grid whose output the goldens pin. */
+ExperimentPlan::Grid
+goldenGrid()
 {
-    // The goldens encode fixed parameters; neutralize environment
-    // overrides a developer (or another CI step) may have exported.
-    unsetenv("REFRINT_REFS");
-    unsetenv("REFRINT_APPS");
-    unsetenv("REFRINT_JOBS");
-    SweepSpec spec;
-    spec.apps = {findWorkload("fft"), findWorkload("lu")};
-    spec.sim.refsPerCore = 4000;
-    spec.sim.seed = 1;
-    spec.jobs = 4; // results are bit-identical to jobs=1
-    return spec;
+    ExperimentPlan::Grid g;
+    g.apps = {findWorkload("fft"), findWorkload("lu")};
+    g.sim.refsPerCore = 4000;
+    g.sim.seed = 1;
+    return g;
 }
 
 /** Parse "key;v0,v1,..." rows of a cache file (skips the header). */
@@ -123,8 +117,8 @@ TEST(GoldenDefault, SweepRowSetIsByteIdenticalToPreRefactor)
     const std::string dir = ::testing::TempDir() + "/golden_test_store";
     std::filesystem::remove_all(dir);
 
-    SweepSpec spec = goldenSpec();
-    const SweepResult s = runSweep(spec, dir);
+    // jobs=4: results are bit-identical to jobs=1.
+    const SweepResult s = test::runGrid(goldenGrid(), dir, 4);
     EXPECT_EQ(s.raw.size(), 2u * 43u);
 
     const auto want =
@@ -177,7 +171,7 @@ TEST(GoldenDefault, MigratedGoldenCacheReplaysWarm)
 
     // Every golden scenario is answered from the migrated rows, and
     // the headline over them is the golden one, byte for byte.
-    const SweepResult s = runSweep(goldenSpec(), dir);
+    const SweepResult s = test::runGrid(goldenGrid(), dir, 4);
     EXPECT_EQ(s.simulations, 0u);
     EXPECT_EQ(s.raw.size(), 2u * 43u);
     const std::string headline =
@@ -189,13 +183,13 @@ TEST(GoldenDefault, MigratedGoldenCacheReplaysWarm)
 
 TEST(GoldenDefault, ThermalStudyOutputIsByteIdenticalToPreRefactor)
 {
-    SweepSpec spec = goldenSpec();
-    spec.apps = {findWorkload("fft")};
-    spec.retentions = {usToTicks(50.0)};
-    spec.policies = {RefreshPolicy::periodic(DataPolicy::All),
-                     RefreshPolicy::refrint(DataPolicy::WB, 32, 32)};
-    spec.ambients = {45.0, 65.0, 85.0};
-    const SweepResult s = runSweep(spec, /*storeDir=*/"");
+    ExperimentPlan::Grid g = goldenGrid();
+    g.apps = {findWorkload("fft")};
+    g.retentions = {usToTicks(50.0)};
+    g.policies = {RefreshPolicy::periodic(DataPolicy::All),
+                  RefreshPolicy::refrint(DataPolicy::WB, 32, 32)};
+    g.ambients = {45.0, 65.0, 85.0};
+    const SweepResult s = test::runGrid(g, /*storeDir=*/"", 4);
 
     const std::string table = capture(
         [&](std::FILE *f) { printThermalStudy(s, "fft", 50.0, f); });

@@ -71,13 +71,13 @@ TEST(SweepSpecTest, PolicyNamesRoundTripThroughParse)
     }
 }
 
-TEST(SweepSpecTest, FinalizeFillsPaperDefaults)
+TEST(SweepSpecTest, GridDefaultsAreThePaperSweep)
 {
-    SweepSpec spec;
-    spec.finalize();
-    EXPECT_EQ(spec.apps.size(), 11u);
-    EXPECT_EQ(spec.retentions.size(), 3u);
-    EXPECT_EQ(spec.policies.size(), 14u);
+    const ExperimentPlan::Grid g;
+    EXPECT_EQ(g.apps.size(), 11u);
+    EXPECT_EQ(g.retentions.size(), 3u);
+    EXPECT_EQ(g.policies.size(), 14u);
+    EXPECT_EQ(ExperimentPlan::grid(g).size(), 473u);
 }
 
 // ---------------------------------------------------------------------
@@ -131,19 +131,18 @@ TEST(NormalizeTest, EdramValidUsesLessMemoryEnergyThanSram)
 TEST(SweepCacheTest, CacheRoundTripsResults)
 {
     UniformWorkload app(8 * 1024, 0.3);
-    SweepSpec spec;
-    spec.apps = {&app};
-    spec.retentions = {usToTicks(50.0)};
-    spec.policies = {RefreshPolicy::refrint(DataPolicy::Valid),
-                     RefreshPolicy::periodic(DataPolicy::All)};
-    spec.sim.refsPerCore = 1500;
+    ExperimentPlan::Grid g;
+    g.apps = {&app};
+    g.retentions = {usToTicks(50.0)};
+    g.policies = {RefreshPolicy::refrint(DataPolicy::Valid),
+                  RefreshPolicy::periodic(DataPolicy::All)};
+    g.sim.refsPerCore = 1500;
 
     const std::string dir = ::testing::TempDir() + "/sweep_cache_rt_store";
     std::filesystem::remove_all(dir);
 
-    SweepSpec spec2 = spec; // runSweep consumes the spec
-    const SweepResult fresh = runSweep(std::move(spec), dir);
-    const SweepResult cached = runSweep(std::move(spec2), dir);
+    const SweepResult fresh = runGrid(g, dir);
+    const SweepResult cached = runGrid(g, dir);
 
     ASSERT_EQ(fresh.raw.size(), cached.raw.size());
     ASSERT_EQ(fresh.normalized.size(), cached.normalized.size());
@@ -168,17 +167,17 @@ TEST(SweepCacheTest, CacheKeyedByRefsPerCore)
     const std::string dir = ::testing::TempDir() + "/sweep_cache_key_store";
     std::filesystem::remove_all(dir);
 
-    auto mkSpec = [&](std::uint64_t refs) {
-        SweepSpec s;
-        s.apps = {&app};
-        s.retentions = {usToTicks(50.0)};
-        s.policies = {RefreshPolicy::refrint(DataPolicy::Valid)};
-        s.sim.refsPerCore = refs;
-        return s;
+    auto mkGrid = [&](std::uint64_t refs) {
+        ExperimentPlan::Grid g;
+        g.apps = {&app};
+        g.retentions = {usToTicks(50.0)};
+        g.policies = {RefreshPolicy::refrint(DataPolicy::Valid)};
+        g.sim.refsPerCore = refs;
+        return g;
     };
 
-    const SweepResult small = runSweep(mkSpec(500), dir);
-    const SweepResult large = runSweep(mkSpec(2000), dir);
+    const SweepResult small = runGrid(mkGrid(500), dir);
+    const SweepResult large = runGrid(mkGrid(2000), dir);
 
     EXPECT_NE(small.raw[0].execTicks, large.raw[0].execTicks);
     std::filesystem::remove_all(dir);
@@ -187,15 +186,15 @@ TEST(SweepCacheTest, CacheKeyedByRefsPerCore)
 TEST(SweepCacheTest, AverageFiltersByConfigRetentionAndApp)
 {
     UniformWorkload app(8 * 1024, 0.3);
-    SweepSpec spec;
-    spec.apps = {&app};
-    spec.retentions = {usToTicks(50.0), usToTicks(200.0)};
-    spec.policies = {RefreshPolicy::refrint(DataPolicy::Valid)};
+    ExperimentPlan::Grid g;
+    g.apps = {&app};
+    g.retentions = {usToTicks(50.0), usToTicks(200.0)};
+    g.policies = {RefreshPolicy::refrint(DataPolicy::Valid)};
     // Long enough that the run spans several 200 us retention periods —
     // shorter runs see no refresh at all and the retentions tie.
-    spec.sim.refsPerCore = 60'000;
+    g.sim.refsPerCore = 60'000;
 
-    const SweepResult res = runSweep(std::move(spec), "");
+    const SweepResult res = runGrid(g);
 
     const double at50 = res.average(50.0, "R.valid", {},
                                     &NormalizedResult::memEnergy);
@@ -233,12 +232,12 @@ TEST(ReportTest, ClassAppNamesMatchTable61)
 TEST(ReportTest, FigurePrintersProduceOutput)
 {
     UniformWorkload app(8 * 1024, 0.3);
-    SweepSpec spec;
-    spec.apps = {&app};
-    spec.retentions = {usToTicks(50.0)};
-    spec.policies = paperPolicySweep();
-    spec.sim.refsPerCore = 1000;
-    const SweepResult res = runSweep(std::move(spec), "");
+    ExperimentPlan::Grid g;
+    g.apps = {&app};
+    g.retentions = {usToTicks(50.0)};
+    g.policies = paperPolicySweep();
+    g.sim.refsPerCore = 1000;
+    const SweepResult res = runGrid(g);
 
     const std::string path = ::testing::TempDir() + "/report_out.txt";
     std::FILE *f = std::fopen(path.c_str(), "w");

@@ -284,14 +284,13 @@ TEST(MachineSmoke, ThirtyTwoCoreSweepRowsAreMachineKeyed)
 {
     // A one-policy sweep on the 32-core machine: rows normalize
     // against the 32-core SRAM baseline and carry the machine label.
-    SweepSpec spec;
-    spec.apps = {findWorkload("fft")};
-    spec.retentions = {usToTicks(50.0)};
-    spec.policies = {RefreshPolicy::refrint(DataPolicy::Valid)};
-    spec.machines = {MachineAxis{32, false}};
-    spec.sim.refsPerCore = 400;
-    spec.jobs = 1;
-    const SweepResult s = runSweep(spec, /*storeDir=*/"");
+    ExperimentPlan::Grid g;
+    g.apps = {findWorkload("fft")};
+    g.retentions = {usToTicks(50.0)};
+    g.policies = {RefreshPolicy::refrint(DataPolicy::Valid)};
+    g.machines = {MachineAxis{32, false}};
+    g.sim.refsPerCore = 400;
+    const SweepResult s = test::runGrid(g, /*storeDir=*/"", /*jobs=*/1);
     ASSERT_EQ(s.raw.size(), 2u);
     EXPECT_EQ(s.raw[0].config, "SRAM");
     EXPECT_EQ(s.raw[0].machine, "c32");

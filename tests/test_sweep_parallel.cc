@@ -2,9 +2,10 @@
  * @file
  * Tests for the parallel sweep engine: a multi-threaded sweep must be
  * bit-identical to the serial one (same per-run PRNG seeds, results
- * collected in spec order), the v4 cache must round-trip every field
- * exactly (%.17g), and a warm cache must satisfy a repeat sweep with
- * zero simulations.
+ * collected in plan order), the result store must round-trip every
+ * field exactly (%.17g), a warm store must satisfy a repeat sweep with
+ * zero simulations, and the parallel loops must cover every index once
+ * under stable worker ids.
  */
 
 #include <gtest/gtest.h>
@@ -12,11 +13,15 @@
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
+#include <map>
+#include <mutex>
+#include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "harness/pool.hh"
-#include "harness/sweep.hh"
+#include "test_util.hh"
 #include "workload/micro.hh"
 
 namespace refrint::test
@@ -52,19 +57,19 @@ expectRunsIdentical(const RunResult &a, const RunResult &b)
     EXPECT_EQ(a.counts.decayedHits, b.counts.decayedHits);
 }
 
-/** A small multi-app, multi-policy spec that still exercises ordering:
+/** A small multi-app, multi-policy grid that still exercises ordering:
  *  2 apps x (1 baseline + 2 retentions x 3 policies) = 14 runs. */
-SweepSpec
-smallSpec(const Workload &a1, const Workload &a2)
+ExperimentPlan::Grid
+smallGrid(const Workload &a1, const Workload &a2)
 {
-    SweepSpec spec;
-    spec.apps = {&a1, &a2};
-    spec.retentions = {usToTicks(50.0), usToTicks(100.0)};
-    spec.policies = {RefreshPolicy::refrint(DataPolicy::Valid),
-                     RefreshPolicy::periodic(DataPolicy::All),
-                     RefreshPolicy::refrint(DataPolicy::WB, 4, 4)};
-    spec.sim.refsPerCore = 1200;
-    return spec;
+    ExperimentPlan::Grid g;
+    g.apps = {&a1, &a2};
+    g.retentions = {usToTicks(50.0), usToTicks(100.0)};
+    g.policies = {RefreshPolicy::refrint(DataPolicy::Valid),
+                  RefreshPolicy::periodic(DataPolicy::All),
+                  RefreshPolicy::refrint(DataPolicy::WB, 4, 4)};
+    g.sim.refsPerCore = 1200;
+    return g;
 }
 
 TEST(SweepParallelTest, FourJobsBitIdenticalToSerial)
@@ -72,13 +77,8 @@ TEST(SweepParallelTest, FourJobsBitIdenticalToSerial)
     UniformWorkload u(8 * 1024, 0.3);
     StreamWorkload s(32 * 1024, 0.2);
 
-    SweepSpec serial = smallSpec(u, s);
-    serial.jobs = 1;
-    SweepSpec parallel = smallSpec(u, s);
-    parallel.jobs = 4;
-
-    const SweepResult a = runSweep(std::move(serial), "");
-    const SweepResult b = runSweep(std::move(parallel), "");
+    const SweepResult a = runGrid(smallGrid(u, s), "", /*jobs=*/1);
+    const SweepResult b = runGrid(smallGrid(u, s), "", /*jobs=*/4);
 
     ASSERT_EQ(a.raw.size(), 14u);
     ASSERT_EQ(a.raw.size(), b.raw.size());
@@ -106,10 +106,8 @@ TEST(SweepParallelTest, CacheRoundTripsEveryFieldExactly)
     const std::string dir = ::testing::TempDir() + "/sweep_parallel_rt_store";
     std::filesystem::remove_all(dir);
 
-    SweepSpec first = smallSpec(u, s);
-    SweepSpec second = smallSpec(u, s);
-    const SweepResult fresh = runSweep(std::move(first), dir);
-    const SweepResult cached = runSweep(std::move(second), dir);
+    const SweepResult fresh = runGrid(smallGrid(u, s), dir);
+    const SweepResult cached = runGrid(smallGrid(u, s), dir);
 
     ASSERT_EQ(fresh.raw.size(), cached.raw.size());
     for (std::size_t i = 0; i < fresh.raw.size(); ++i) {
@@ -127,15 +125,10 @@ TEST(SweepParallelTest, WarmCacheRunsZeroSimulations)
         ::testing::TempDir() + "/sweep_parallel_warm_store";
     std::filesystem::remove_all(dir);
 
-    SweepSpec first = smallSpec(u, s);
-    first.jobs = 4;
-    SweepSpec second = smallSpec(u, s);
-    second.jobs = 4;
-
-    const SweepResult fresh = runSweep(std::move(first), dir);
+    const SweepResult fresh = runGrid(smallGrid(u, s), dir, /*jobs=*/4);
     EXPECT_EQ(fresh.simulations, fresh.raw.size());
 
-    const SweepResult warm = runSweep(std::move(second), dir);
+    const SweepResult warm = runGrid(smallGrid(u, s), dir, /*jobs=*/4);
     EXPECT_EQ(warm.simulations, 0u);
     ASSERT_EQ(warm.raw.size(), fresh.raw.size());
     std::filesystem::remove_all(dir);
@@ -150,6 +143,31 @@ TEST(PoolTest, ParallelForCoversEveryIndexOnce)
                 [&](std::size_t i) { hits[i].fetch_add(1); });
     for (std::size_t i = 0; i < hits.size(); ++i)
         EXPECT_EQ(hits[i].load(), 1) << i;
+}
+
+TEST(PoolTest, WorkerIdsAreStablePerThread)
+{
+    // Every index runs once, under an id in [0, jobs), and one id
+    // never appears on two threads.
+    constexpr unsigned kJobs = 4;
+    std::mutex mu;
+    std::map<unsigned, std::set<std::thread::id>> threadsOf;
+    std::vector<std::atomic<int>> hits(200);
+    for (auto &h : hits)
+        h = 0;
+    parallelForWorkers(hits.size(), kJobs,
+                       [&](std::size_t i, unsigned worker) {
+                           hits[i].fetch_add(1);
+                           std::lock_guard<std::mutex> lock(mu);
+                           threadsOf[worker].insert(
+                               std::this_thread::get_id());
+                       });
+    for (std::size_t i = 0; i < hits.size(); ++i)
+        EXPECT_EQ(hits[i].load(), 1) << i;
+    for (const auto &[worker, threads] : threadsOf) {
+        EXPECT_LT(worker, kJobs);
+        EXPECT_EQ(threads.size(), 1u) << "worker " << worker;
+    }
 }
 
 TEST(PoolTest, SerialFallbackRunsInline)

@@ -231,17 +231,17 @@ TEST(ThermalRun, SramMachineRejectsThermal)
 // The ambient sweep axis: determinism, caching, key isolation
 // ---------------------------------------------------------------------
 
-SweepSpec
-thermalSpec(const Workload &a1, const Workload &a2)
+ExperimentPlan::Grid
+thermalGrid(const Workload &a1, const Workload &a2)
 {
-    SweepSpec spec;
-    spec.apps = {&a1, &a2};
-    spec.retentions = {usToTicks(50.0)};
-    spec.policies = {RefreshPolicy::periodic(DataPolicy::All),
-                     RefreshPolicy::refrint(DataPolicy::WB, 4, 4)};
-    spec.ambients = {45.0, 85.0};
-    spec.sim.refsPerCore = 1200;
-    return spec;
+    ExperimentPlan::Grid g;
+    g.apps = {&a1, &a2};
+    g.retentions = {usToTicks(50.0)};
+    g.policies = {RefreshPolicy::periodic(DataPolicy::All),
+                  RefreshPolicy::refrint(DataPolicy::WB, 4, 4)};
+    g.ambients = {45.0, 85.0};
+    g.sim.refsPerCore = 1200;
+    return g;
 }
 
 TEST(ThermalSweep, ParallelBitIdenticalToSerial)
@@ -249,13 +249,8 @@ TEST(ThermalSweep, ParallelBitIdenticalToSerial)
     UniformWorkload u(8 * 1024, 0.3);
     StreamWorkload s(32 * 1024, 0.2);
 
-    SweepSpec serial = thermalSpec(u, s);
-    serial.jobs = 1;
-    SweepSpec parallel = thermalSpec(u, s);
-    parallel.jobs = 4;
-
-    const SweepResult a = runSweep(std::move(serial), "");
-    const SweepResult b = runSweep(std::move(parallel), "");
+    const SweepResult a = runGrid(thermalGrid(u, s), "", /*jobs=*/1);
+    const SweepResult b = runGrid(thermalGrid(u, s), "", /*jobs=*/4);
 
     // 2 apps x (1 SRAM + 2 ambients x 1 retention x 2 policies)
     ASSERT_EQ(a.raw.size(), 10u);
@@ -278,11 +273,9 @@ TEST(ThermalSweep, CacheRoundTripsThermalFieldsExactly)
     const std::string dir = ::testing::TempDir() + "/thermal_rt_store";
     std::filesystem::remove_all(dir);
 
-    SweepSpec first = thermalSpec(u, s);
-    SweepSpec second = thermalSpec(u, s);
-    const SweepResult fresh = runSweep(std::move(first), dir);
+    const SweepResult fresh = runGrid(thermalGrid(u, s), dir);
     EXPECT_EQ(fresh.simulations, fresh.raw.size());
-    const SweepResult warm = runSweep(std::move(second), dir);
+    const SweepResult warm = runGrid(thermalGrid(u, s), dir);
     EXPECT_EQ(warm.simulations, 0u);
 
     ASSERT_EQ(fresh.raw.size(), warm.raw.size());
@@ -306,22 +299,22 @@ TEST(ThermalSweep, KeysDoNotCollideWithIsothermalRows)
     const std::string dir = ::testing::TempDir() + "/thermal_keys_store";
     std::filesystem::remove_all(dir);
 
-    SweepSpec iso = thermalSpec(u, s);
+    ExperimentPlan::Grid iso = thermalGrid(u, s);
     iso.ambients.clear(); // same points, thermal disabled
-    const SweepResult isoFresh = runSweep(SweepSpec(iso), dir);
+    const SweepResult isoFresh = runGrid(iso, dir);
     EXPECT_EQ(isoFresh.simulations, isoFresh.raw.size());
 
     // The thermal sweep shares only the 2 SRAM baselines (which are
     // never thermal); its 8 eDRAM points must all simulate fresh.
-    SweepSpec thermal = thermalSpec(u, s);
-    const SweepResult thFresh = runSweep(SweepSpec(thermal), dir);
+    const ExperimentPlan::Grid thermal = thermalGrid(u, s);
+    const SweepResult thFresh = runGrid(thermal, dir);
     EXPECT_EQ(thFresh.simulations, 8u);
 
     // Both repeats fully warm, and the isothermal rows were untouched
     // by the thermal sweep (distinct keys, same file).
-    const SweepResult isoWarm = runSweep(SweepSpec(iso), dir);
+    const SweepResult isoWarm = runGrid(iso, dir);
     EXPECT_EQ(isoWarm.simulations, 0u);
-    const SweepResult thWarm = runSweep(SweepSpec(thermal), dir);
+    const SweepResult thWarm = runGrid(thermal, dir);
     EXPECT_EQ(thWarm.simulations, 0u);
     for (std::size_t i = 0; i < isoFresh.raw.size(); ++i) {
         EXPECT_EQ(isoFresh.raw[i].execTicks, isoWarm.raw[i].execTicks);

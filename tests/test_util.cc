@@ -1,5 +1,10 @@
 #include "test_util.hh"
 
+#include <memory>
+
+#include "api/session.hh"
+#include "service/store.hh"
+
 namespace refrint::test
 {
 
@@ -38,6 +43,14 @@ runTiny(const MachineConfig &cfg, const Workload &app,
     sim.refsPerCore = refs;
     sim.seed = seed;
     return runOnce(cfg, app, sim);
+}
+
+SweepResult
+runGrid(const ExperimentPlan::Grid &g, const std::string &storeDir,
+        unsigned jobs)
+{
+    return Session(std::make_unique<ShardedStore>(storeDir), jobs)
+        .run(ExperimentPlan::grid(g));
 }
 
 } // namespace refrint::test

@@ -1,13 +1,16 @@
 /**
  * @file
  * Shared fixtures for the Refrint test suite: a scaled-down machine so
- * individual tests run in milliseconds, and helpers to drive a system
- * with micro workloads.
+ * individual tests run in milliseconds, helpers to drive a system
+ * with micro workloads, and a one-call grid runner over a Session.
  */
 
 #ifndef REFRINT_TESTS_TEST_UTIL_HH
 #define REFRINT_TESTS_TEST_UTIL_HH
 
+#include <string>
+
+#include "api/experiment_plan.hh"
 #include "coherence/hierarchy.hh"
 #include "harness/runner.hh"
 #include "system/cmp_system.hh"
@@ -32,6 +35,11 @@ MachineConfig tinyEdram(const RefreshPolicy &policy,
 /** Run @p app on @p cfg for @p refs refs/core; returns the result. */
 RunResult runTiny(const MachineConfig &cfg, const Workload &app,
                   std::uint64_t refs, std::uint64_t seed = 7);
+
+/** Run (or load) the plan of grid @p g through a Session on the store
+ *  in @p storeDir ("" keeps rows in memory) with @p jobs threads. */
+SweepResult runGrid(const ExperimentPlan::Grid &g,
+                    const std::string &storeDir = "", unsigned jobs = 1);
 
 } // namespace refrint::test
 

@@ -328,21 +328,19 @@ TEST(PlanAmbientRangeTest, LoaderRejectsUnresolvableAmbients)
 ExperimentPlan
 validationPlan(const Workload &w)
 {
-    SweepSpec spec;
-    spec.apps = {&w};
-    spec.retentions = {usToTicks(50.0), usToTicks(100.0)};
-    spec.policies = {RefreshPolicy::periodic(DataPolicy::All),
-                     RefreshPolicy::periodic(DataPolicy::Valid),
-                     RefreshPolicy::periodic(DataPolicy::Dirty),
-                     RefreshPolicy::refrint(DataPolicy::WB, 32, 32)};
-    spec.sim.refsPerCore = 1200;
-    return ExperimentPlan::fromSweepSpec(std::move(spec));
+    ExperimentPlan::Grid g;
+    g.apps = {&w};
+    g.retentions = {usToTicks(50.0), usToTicks(100.0)};
+    g.policies = {RefreshPolicy::periodic(DataPolicy::All),
+                  RefreshPolicy::periodic(DataPolicy::Valid),
+                  RefreshPolicy::periodic(DataPolicy::Dirty),
+                  RefreshPolicy::refrint(DataPolicy::WB, 32, 32)};
+    g.sim.refsPerCore = 1200;
+    return ExperimentPlan::grid(g);
 }
 
 TEST(ValidateTest, PassesACorpusTheSimulatorProduced)
 {
-    unsetenv("REFRINT_REFS");
-    unsetenv("REFRINT_APPS");
     UniformWorkload u(8 * 1024, 0.3);
     const std::string dir = ::testing::TempDir() + "/validate_clean";
     std::filesystem::remove_all(dir);

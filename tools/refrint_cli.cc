@@ -2,10 +2,12 @@
  * @file
  * refrint_cli — command-line front end for the Refrint simulator.
  *
- * Every subcommand is a thin plan-builder over the experiment API
- * (src/api/): it assembles an ExperimentPlan, picks the result sinks,
- * and hands both to a Session.  `refrint_cli help` lists the
- * subcommands, `refrint_cli help <cmd>` shows one in detail.
+ * Every plan-running subcommand is a thin plan-builder over the
+ * experiment API (src/api/): it assembles an ExperimentPlan, picks the
+ * result sinks, and hands both to a Session.  The REFRINT_APPS and
+ * REFRINT_REFS environment variables shape a plan only here, between
+ * the defaults and the flags (a flag always wins).  `refrint_cli help`
+ * lists the subcommands, `refrint_cli help <cmd>` shows one in detail.
  *
  * Exit codes: 0 success, 1 runtime error (unknown app, unreadable
  * file, impossible configuration), 2 usage error (bad flags or
@@ -30,7 +32,6 @@
 #include "api/session.hh"
 #include "common/env.hh"
 #include "edram/retention.hh"
-#include "harness/binning.hh"
 #include "harness/report.hh"
 #include "harness/sweep.hh"
 #include "service/coordinator.hh"
@@ -47,6 +48,9 @@ namespace
 
 using namespace refrint;
 
+/** References per core when neither --refs nor $REFRINT_REFS says. */
+constexpr std::uint64_t kDefaultRefs = 120'000;
+
 struct Args
 {
     std::string app = "fft";
@@ -56,7 +60,7 @@ struct Args
     std::vector<std::string> apps;
     std::string policy = "R.WB(32,32)";
     double retentionUs = 50.0;
-    std::uint64_t refs = 120'000;
+    std::uint64_t refs = kDefaultRefs;
     std::uint64_t seed = 1;
     std::uint32_t cores = 16; ///< machine scale (4..64)
     bool hybrid = false;      ///< SRAM L1/L2 over the eDRAM LLC
@@ -233,8 +237,13 @@ parseArgs(int argc, char **argv, int first)
             if (a.retentionUs <= 0)
                 usageError("--retention must be positive");
         }
-        else if (k == "--refs")
+        else if (k == "--refs") {
             a.refs = argU64("--refs", val());
+            if (a.refs == 0)
+                usageError("--refs wants a positive integer (every "
+                           "run needs at least one reference per "
+                           "core)");
+        }
         else if (k == "--seed")
             a.seed = argU64("--seed", val());
         else if (k == "--jobs") {
@@ -474,14 +483,37 @@ attachCommonSinks(const Args &a, SinkSet &sinks)
 // Plan builders: each subcommand's flags -> one ExperimentPlan.
 // ---------------------------------------------------------------------
 
-/** References per core for a plan: --refs, else $REFRINT_REFS, else
- *  the CLI default.  A flag always beats the environment. */
-std::uint64_t
-planRefs(const Args &a)
+/**
+ * The experiment grid for the given flags: the paper's Table 5.4 axes
+ * at the CLI's default refs, then the REFRINT_APPS / REFRINT_REFS
+ * overrides, then the flags — a flag always beats the environment.
+ */
+ExperimentPlan::Grid
+gridFor(const Args &a)
 {
-    const bool given = std::find(a.gridFlags.begin(), a.gridFlags.end(),
-                                 "--refs") != a.gridFlags.end();
-    return given ? a.refs : envU64("REFRINT_REFS", a.refs);
+    ExperimentPlan::Grid g;
+    g.sim.refsPerCore = kDefaultRefs;
+    applyEnvAxes(g.apps, g.sim);
+    if (std::find(a.gridFlags.begin(), a.gridFlags.end(), "--refs") !=
+        a.gridFlags.end())
+        g.sim.refsPerCore = a.refs;
+    g.sim.seed = a.seed;
+    // --app SPEC (repeatable) replaces the app axis; specs can carry
+    // method parameters ("agg:tables=part,..."), which the
+    // comma-splitting REFRINT_APPS env list cannot.
+    if (!a.apps.empty()) {
+        g.apps.clear();
+        for (const std::string &spec : a.apps) {
+            ResolvedWorkload rw;
+            std::string err;
+            if (!workloadRegistry().resolve(spec, rw, err))
+                fatal("--app: %s\n%s", err.c_str(),
+                      workloadRegistry().describe().c_str());
+            g.apps.push_back(rw.workload);
+        }
+    }
+    g.machines = {MachineAxis{a.cores, a.hybrid}};
+    return g;
 }
 
 /** The sweep/figures grid for the given flags (the paper's Table 5.4
@@ -489,44 +521,23 @@ planRefs(const Args &a)
 ExperimentPlan
 sweepPlanFor(const Args &a, bool announceMachine)
 {
-    SweepSpec spec;
-    spec.sim.refsPerCore = planRefs(a);
-    // --app SPEC (repeatable) replaces the paper-app axis (else
-    // $REFRINT_APPS does); specs can carry method parameters
-    // ("agg:tables=part,..."), which the comma-splitting REFRINT_APPS
-    // env list cannot.
-    for (const std::string &s : a.apps) {
-        ResolvedWorkload rw;
-        std::string err;
-        if (!workloadRegistry().resolve(s, rw, err))
-            fatal("sweep --app: %s\n%s", err.c_str(),
-                  workloadRegistry().describe().c_str());
-        spec.apps.push_back(rw.workload);
-    }
-    if (a.cores != 16 || a.hybrid) {
-        spec.machines = {MachineAxis{a.cores, a.hybrid}};
-        if (announceMachine)
-            std::printf("machine: %u cores (%s)\n", a.cores,
-                        a.hybrid ? "hybrid SRAM L1/L2 + eDRAM LLC"
-                                 : "uniform tech");
-    }
-    return ExperimentPlan::fromSweepSpec(std::move(spec));
+    const ExperimentPlan::Grid g = gridFor(a);
+    if (announceMachine && !g.machines.front().isDefault())
+        std::printf("machine: %u cores (%s)\n", a.cores,
+                    a.hybrid ? "hybrid SRAM L1/L2 + eDRAM LLC"
+                             : "uniform tech");
+    return ExperimentPlan::grid(g);
 }
 
-/** The ambient-temperature study plan for the given flags; null app
- *  name errors are reported by the builder (fatal, exit 1). */
+/** The ambient-temperature study plan for the given flags; an unknown
+ *  app is reported by the builder (fatal, exit 1). */
 ExperimentPlan
 thermalPlanFor(const Args &a)
 {
-    SimParams sim;
-    sim.refsPerCore = planRefs(a);
-    sim.seed = a.seed;
-    std::vector<MachineAxis> machines;
-    if (a.cores != 16 || a.hybrid)
-        machines = {MachineAxis{a.cores, a.hybrid}};
+    const ExperimentPlan::Grid g = gridFor(a);
     return ExperimentPlan::thermalStudy(a.app, a.retentionUs,
-                                        parseAmbients(a.ambients), sim,
-                                        machines);
+                                        parseAmbients(a.ambients), g.sim,
+                                        g.machines);
 }
 
 // ---------------------------------------------------------------------
@@ -800,11 +811,7 @@ int
 cmdBinning(const Args &a)
 {
     rejectPositionals(a);
-    BinningSink sink;
-    std::vector<ResultSink *> sinks{&sink};
-    // The binning plan simulates nothing; keep the store in memory.
-    Session session(std::make_unique<ShardedStore>(""), 0);
-    session.run(ExperimentPlan::binning(), sinks);
+    printBinning(stdout);
     return 0;
 }
 
@@ -827,11 +834,8 @@ cmdPlan(const Args &a)
             plan.name = "figures";
     } else if (what == "thermal-study") {
         plan = thermalPlanFor(a);
-    } else if (what == "binning") {
-        plan = ExperimentPlan::binning();
     } else {
-        usageError("unknown plan '%s' (sweep, figures, thermal-study, "
-                   "binning)",
+        usageError("unknown plan '%s' (sweep, figures, thermal-study)",
                    what.c_str());
     }
 
@@ -1085,8 +1089,11 @@ const Command kCommands[] = {
      "                   built-in grid (see 'plan dump')\n"
      "  --app SPEC       replace the paper-app axis (repeatable);\n"
      "                   SPEC is a name or method spec, e.g.\n"
-     "                   'agg:tables=part,skew=0.8' (see 'list')\n"
-     "  --refs N         references per core (default 120000)\n"
+     "                   'agg:tables=part,skew=0.8' (see 'list';\n"
+     "                   default $REFRINT_APPS or all 11 apps)\n"
+     "  --refs N         references per core, > 0 (default\n"
+     "                   $REFRINT_REFS or 120000)\n"
+     "  --seed S         PRNG seed of every run (default 1)\n"
      "  --cores N        machine scale (4..64; rows machine-keyed)\n"
      "  --hybrid         SRAM L1/L2 over the eDRAM LLC\n"
      "  --alt            run the alternate energy backend alongside\n"
@@ -1107,8 +1114,8 @@ const Command kCommands[] = {
      "usage: refrint_cli figures [options]\n"
      "  --plan FILE      run a JSON experiment plan instead of the\n"
      "                   built-in grid\n"
-     "  --refs N         references per core (default 120000)\n"
-     "  --cores N --hybrid    as for 'sweep'\n",
+     "  --app SPEC --refs N --seed S --cores N --hybrid\n"
+     "                   as for 'sweep'\n",
      cmdFigures, /*runsPlans=*/true},
     {"thermal-study", "sweep the ambient-temperature scenario axis",
      "usage: refrint_cli thermal-study [options]\n"
@@ -1121,11 +1128,12 @@ const Command kCommands[] = {
     {"binning", "Table 6.1 application classification",
      "usage: refrint_cli binning\n", cmdBinning},
     {"plan", "dump experiment plans as shareable JSON files",
-     "usage: refrint_cli plan dump [sweep|figures|thermal-study|"
-     "binning] [options]\n"
+     "usage: refrint_cli plan dump [sweep|figures|thermal-study] "
+     "[options]\n"
      "  --out FILE       write the plan file (default stdout)\n"
-     "  (grid options --refs/--cores/--hybrid, and for thermal-study\n"
-     "   --app/--retention/--ambients/--seed, shape the dumped plan)\n"
+     "  (grid options --app/--refs/--seed/--cores/--hybrid, and for\n"
+     "   thermal-study --retention/--ambients, shape the dumped plan,\n"
+     "   exactly as they shape the command's own run)\n"
      "\nA dumped plan replays with 'sweep --plan FILE' and produces\n"
      "rows byte-identical to the grid it was dumped from.\n",
      cmdPlan},
