@@ -9,6 +9,7 @@
 #include "api/json.hh"
 #include "common/hash.hh"
 #include "common/log.hh"
+#include "edram/refresh_policy.hh"
 #include "workload/method.hh"
 
 namespace refrint
@@ -219,6 +220,13 @@ ExperimentPlan::tryFromJson(const std::string &text, ExperimentPlan &out,
             Scenario s;
             s.app = requireString(o, "app", "scenario");
             s.config = requireString(o, "config", "scenario");
+            // Reject a bad policy name here, not in a worker mid-plan:
+            // serve answers with an error and stays up.
+            if (!s.isSram() && !tryParsePolicy(s.config))
+                planError("scenario \"config\" '%s' is neither SRAM nor "
+                          "a refresh policy name such as P.all or "
+                          "R.WB(32,32)",
+                          s.config.c_str());
             s.retentionUs = requireNumber(o, "retentionUs", "scenario");
             s.ambientC = requireNumber(o, "ambientC", "scenario");
             // Outside the thermal response's resolvable band the

@@ -43,7 +43,6 @@ RefreshEngine::visitLine(std::uint32_t idx, Tick now)
     switch (action) {
       case RefreshAction::Refresh:
         refreshes_->inc();
-        target_.refreshLine(idx, now);
         renewClocks(idx, line, now);
         return true;
 
@@ -194,22 +193,19 @@ PeriodicEngine::fire(Tick now, std::uint64_t tag)
     const std::uint32_t lo = k * linesPerBurst_;
     const std::uint32_t hi = std::min(lines, lo + linesPerBurst_);
 
+    const std::uint64_t before = refreshes_->value();
     std::uint32_t serviced = 0;
-    if (policy_.data == DataPolicy::All && target_.supportsBulkRefresh()) {
-        // Fast path: under All every visit is a refresh, so the whole
-        // burst reduces to bulk counter charges plus the per-line clock
-        // re-stamp (visitLine would branch and virtual-call per line).
-        const std::uint32_t n = hi - lo;
-        visits_->inc(n);
-        refreshes_->inc(n);
-        target_.refreshLinesBulk(n, now);
+    if (policy_.data == DataPolicy::All) {
+        // Under All every visit is a refresh, so the whole burst reduces
+        // to counter charges plus the per-line clock re-stamp.
+        serviced = hi - lo;
+        visits_->inc(serviced);
+        refreshes_->inc(serviced);
         for (std::uint32_t idx = lo; idx < hi; ++idx)
             renewClocks(idx, arr_.lineAt(idx), now);
-        serviced = n;
-    } else if (policy_.data == DataPolicy::Valid &&
-               target_.supportsBulkRefresh()) {
-        // Fast path: Valid refreshes exactly the probe-valid lines and
-        // skips the rest; no action ever mutates line state.
+    } else if (policy_.data == DataPolicy::Valid) {
+        // Valid refreshes exactly the probe-valid lines and skips the
+        // rest; no action ever mutates line state.
         visits_->inc(hi - lo);
         const Addr *probe = arr_.probeData();
         for (std::uint32_t idx = lo; idx < hi; ++idx) {
@@ -220,19 +216,16 @@ PeriodicEngine::fire(Tick now, std::uint64_t tag)
         }
         refreshes_->inc(serviced);
         skips_->inc((hi - lo) - serviced);
-        if (serviced > 0)
-            target_.refreshLinesBulk(serviced, now);
     } else {
+        // Invalidated/skipped lines still occupy the pipeline for their
+        // tag+state read, but that is off the data array; only lines
+        // that stay alive block the bank.
         for (std::uint32_t idx = lo; idx < hi; ++idx) {
             if (visitLine(idx, now))
                 ++serviced;
-            else if (policy_.data != DataPolicy::All) {
-                // Invalidated/skipped lines still occupied the pipeline
-                // for their tag+state read, but that is off the data
-                // array; we only block for actual line refreshes.
-            }
         }
     }
+    chargeRefreshes(before, now);
     bursts_->inc();
     // The bank is unavailable while the burst streams through the data
     // array, one line per cycle (Table 5.2: refresh time = access time).
@@ -572,15 +565,15 @@ RefrintEngine::fire(Tick now, std::uint64_t)
             std::min(arr.numLines(), lo + geom_.sentryGroupSize);
         const bool all = policy_.data == DataPolicy::All;
         const Addr *probe = arr.probeData();
+        const std::uint64_t before = refreshes_->value();
         std::uint32_t serviced = 0;
         Tick next = kTickNever;
-        if ((all || policy_.data == DataPolicy::Valid) &&
-            target_.supportsBulkRefresh()) {
-            // Fast path: every relevant line is refreshed (All/Valid
-            // never write back, invalidate or mutate state), so the
-            // visit reduces to the clock re-stamp plus bulk charges —
-            // and the group's next deadline falls out of the renewed
-            // stamps, saving the post-service group re-scan.
+        if (all || policy_.data == DataPolicy::Valid) {
+            // Every relevant line is refreshed (All/Valid never write
+            // back, invalidate or mutate state), so the visit reduces
+            // to the clock re-stamp plus counter charges — and the
+            // group's next deadline falls out of the renewed stamps,
+            // saving the post-service group re-scan.
             for (std::uint32_t idx = lo; idx < hi; ++idx) {
                 if (!all && probe[idx] == 0)
                     continue;
@@ -591,17 +584,16 @@ RefrintEngine::fire(Tick now, std::uint64_t)
             }
             visits_->inc(serviced);
             refreshes_->inc(serviced);
-            if (serviced > 0)
-                target_.refreshLinesBulk(serviced, now);
         } else {
             for (std::uint32_t idx = lo; idx < hi; ++idx) {
-                if (!all && probe[idx] == 0)
+                if (probe[idx] == 0)
                     continue;
                 if (visitLine(idx, now))
                     ++serviced;
             }
             next = groupDeadline(g);
         }
+        chargeRefreshes(before, now);
         if (serviced > 0)
             target_.addBusy(now, serviced);
 

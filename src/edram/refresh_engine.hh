@@ -39,6 +39,11 @@ namespace refrint
  * What a refresh engine needs from the cache it manages.  The cache
  * level (via the coherence hierarchy) implements the heavyweight
  * actions; the engine only makes decisions and keeps the clocks.
+ *
+ * Plain refreshes are charged in bulk: the engine's data policy alone
+ * picks its service loop (all/valid renew clocks in a tight loop,
+ * dirty/WB run the per-line Fig. 4.1 decision), and either loop ends
+ * in one refreshLines() charge per burst, interrupt or phase.
  */
 class RefreshTarget
 {
@@ -47,26 +52,8 @@ class RefreshTarget
 
     virtual CacheArray &array() = 0;
 
-    /** Charge one line refresh (energy accounting). */
-    virtual void refreshLine(std::uint32_t idx, Tick now) = 0;
-
-    /**
-     * Whether refreshLine() is a pure per-line tally (no per-index
-     * bookkeeping) so a burst may charge @p count refreshes in one call
-     * via refreshLinesBulk().  Targets that record per-line actions
-     * (test mocks, tracers) leave this false and keep the general
-     * per-line path.
-     */
-    virtual bool supportsBulkRefresh() const { return false; }
-
-    /** Charge @p count line refreshes at once (see supportsBulkRefresh). */
-    virtual void
-    refreshLinesBulk(std::uint32_t count, Tick now)
-    {
-        (void)count;
-        (void)now;
-        panic("refreshLinesBulk on a target without bulk support");
-    }
+    /** Charge @p count (> 0) line refreshes serviced at @p now. */
+    virtual void refreshLines(std::uint32_t count, Tick now) = 0;
 
     /** Write the (dirty) line back to the next level; make it clean. */
     virtual void writebackLine(std::uint32_t idx, Tick now) = 0;
@@ -185,9 +172,20 @@ class RefreshEngine : public EventClient
     std::uint64_t invalidations() const { return invals_->value(); }
 
   protected:
-    /** Run the Fig. 4.1 decision for @p idx and apply the outcome.
+    /** Run the Fig. 4.1 decision for @p idx and apply the outcome; a
+     *  plain refresh is only counted (see chargeRefreshes).
      *  @return true if the line remains alive (was refreshed / WB'd). */
     bool visitLine(std::uint32_t idx, Tick now);
+
+    /** Charge the target for the line refreshes counted since the
+     *  counter read @p before: one call per burst, interrupt or phase. */
+    void
+    chargeRefreshes(std::uint64_t before, Tick now)
+    {
+        const std::uint64_t n = refreshes_->value() - before;
+        if (n > 0)
+            target_.refreshLines(static_cast<std::uint32_t>(n), now);
+    }
 
     /** Line @p idx's own data retention (per-line under variation). */
     Tick

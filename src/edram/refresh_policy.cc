@@ -80,13 +80,13 @@ RefreshPolicy::refrint(DataPolicy d, std::uint32_t n, std::uint32_t m)
     return RefreshPolicy{TimePolicy::Refrint, d, n, m};
 }
 
-RefreshPolicy
-parsePolicy(const std::string &s)
+std::optional<RefreshPolicy>
+tryParsePolicy(const std::string &s)
 {
     RefreshPolicy p;
     if (s.size() < 3 || (s[0] != 'P' && s[0] != 'R' && s[0] != 'S') ||
         s[1] != '.')
-        fatal("cannot parse policy '%s'", s.c_str());
+        return std::nullopt;
     p.time = s[0] == 'P'   ? TimePolicy::Periodic
              : s[0] == 'R' ? TimePolicy::Refrint
                            : TimePolicy::SmartRefresh;
@@ -100,12 +100,25 @@ parsePolicy(const std::string &s)
     } else {
         unsigned n = 0, m = 0;
         if (std::sscanf(body.c_str(), "WB(%u,%u)", &n, &m) != 2)
-            fatal("cannot parse policy '%s'", s.c_str());
+            return std::nullopt;
         p.data = DataPolicy::WB;
         p.n = n;
         p.m = m;
     }
+    // Only the canonical spelling: a name must never alias another
+    // policy's store key.
+    if (p.name() != s)
+        return std::nullopt;
     return p;
+}
+
+RefreshPolicy
+parsePolicy(const std::string &s)
+{
+    const std::optional<RefreshPolicy> p = tryParsePolicy(s);
+    if (!p)
+        fatal("cannot parse policy '%s'", s.c_str());
+    return *p;
 }
 
 } // namespace refrint

@@ -13,6 +13,7 @@
 #define REFRINT_EDRAM_REFRESH_POLICY_HH
 
 #include <cstdint>
+#include <optional>
 #include <string>
 
 #include "common/log.hh"
@@ -140,7 +141,14 @@ noteAccess(const RefreshPolicy &policy, CacheLine &line)
         line.count = line.dirty ? policy.n : policy.m;
 }
 
-/** Parse "R.WB(32,32)" / "P.valid" style names (round-trips name()). */
+/**
+ * Parse "R.WB(32,32)" / "P.valid" style names.  Accepts a string only
+ * if name() reproduces it byte for byte, so no two spellings (and no
+ * store keys) can alias one policy.  @return nullopt if malformed.
+ */
+std::optional<RefreshPolicy> tryParsePolicy(const std::string &s);
+
+/** tryParsePolicy, but a malformed name is fatal (exit 1). */
 RefreshPolicy parsePolicy(const std::string &s);
 
 } // namespace refrint

@@ -67,6 +67,7 @@ SmartRefreshEngine::fire(Tick now, std::uint64_t)
     const std::uint32_t lines = arr.numLines();
     const Tick horizon = now + phaseLen_;
 
+    const std::uint64_t before = refreshes_->value();
     std::uint32_t serviced = 0;
     for (std::uint32_t idx = 0; idx < lines; ++idx) {
         CacheLine &line = arr.lineAt(idx);
@@ -77,6 +78,7 @@ SmartRefreshEngine::fire(Tick now, std::uint64_t)
         if (visitLine(idx, now))
             ++serviced;
     }
+    chargeRefreshes(before, now);
     phaseScans_->inc();
     if (serviced > 0)
         target_.addBusy(now, serviced);

@@ -4,49 +4,12 @@ namespace refrint
 {
 
 void
-EventQueue::dispatchFn(const Val &v)
+EventQueue::rewind(const Key &k, const Val &v)
 {
-    const auto idx = static_cast<std::uint32_t>(v.tag);
-    // Move the callable out and free its slab slot *before* calling:
-    // the body may schedule further one-shots (chain patterns).
-    std::function<void(Tick)> fn = std::move(fns_[idx]);
-    fns_[idx] = nullptr;
-    freeFns_.push_back(idx);
-    fn(now_);
-}
-
-void
-EventQueue::promoteFar()
-{
-    // Pull everything inside the next horizon window into the heap and
-    // compact the remainder in place; each entry is promoted at most
-    // once, so the rescans amortize to O(1) per event.  Cancelled far
-    // entries evaporate here without ever touching the heap.  Promotion
-    // targets the heap only — the window slide migrates heap entries
-    // into wheel buckets in pop order, which keeps buckets seq-sorted.
-    const Tick limit = farMin_ > kTickNever - kFarHorizon
-                           ? kTickNever
-                           : farMin_ + kFarHorizon;
-    Tick newMin = kTickNever;
-    std::size_t out = 0;
-    for (const Entry &e : far_) {
-        if (dead(e.key))
-            continue;
-        if (e.key.when <= limit) {
-            push(e.key, e.val);
-        } else {
-            far_[out++] = e;
-            if (e.key.when < newMin)
-                newMin = e.key.when;
-        }
-    }
-    far_.resize(out);
-    farMin_ = newMin;
-}
-
-void
-EventQueue::flushWheelToHeap()
-{
+    // The window only ever slid past now_ over cancelled entries (any
+    // live one would have fired and moved now_), so every bucketed
+    // entry still pending lies ahead of k; the consumed prefix of the
+    // current bucket is dead and melts here.
     for (auto &b : wheel_) {
         for (const Entry &e : b) {
             if (!dead(e.key))
@@ -56,103 +19,39 @@ EventQueue::flushWheelToHeap()
     }
     occ_ = 0;
     pos_ = 0;
+    base_ = now_;
+    admit(k, v); // k.when >= now_ == base_: wheel or heap, never here
 }
 
 bool
 EventQueue::prepareNext(Tick limit)
 {
-    for (;;) {
-        // Retire the exhausted current bucket (every entry consumed).
-        bucketOf(base_).clear();
-        occ_ &= ~(1ull << (base_ & kWheelMask));
-        pos_ = 0;
-
-        // Melt cancelled heap tops so hNext names a live entry.
-        while (!keys_.empty() && dead(keys_.front()))
-            popTop();
-
-        const Tick wNext = nextWheelTick();
-        const Tick hNext = keys_.empty() ? kTickNever : keys_.front().when;
-        const Tick cand = wNext < hNext ? wNext : hNext;
-
-        // <= so an equal-tick far entry (which can carry a smaller seq
-        // than the heap/wheel candidate) is promoted before committing.
-        if (!far_.empty() && farMin_ <= cand) {
-            promoteFar();
-            continue; // recompute against the promoted entries
-        }
-        if (cand == kTickNever || cand > limit)
-            return false; // base_ stays: the window has not moved
-
-        if (cand < base_) {
-            // A bounded run() slid the window past now_, and a caller
-            // then scheduled earlier (heap-routed) work.  Rewind
-            // through the heap so buckets never mix ticks.
-            flushWheelToHeap();
-        }
-        base_ = cand;
-        pos_ = 0;
-
-        // Slide the window over the heap: entries now inside it become
-        // bucket entries, in (when, seq) pop order.
-        while (!keys_.empty() && keys_.front().when <= base_ + kWheelMask) {
-            const Key k = keys_.front();
-            const Val v = vals_.front();
-            popTop();
-            if (!dead(k))
-                bucketInsert(k, v);
-        }
-        return true;
-    }
-}
-
-Tick
-EventQueue::run(Tick limit)
-{
-    for (;;) {
-        const ArenaVector<Entry> &b = bucketOf(base_);
-        bool dispatched = false;
-        while (pos_ < b.size()) {
-            const Entry e = b[pos_]; // copy: fire() may grow b
-            if (dead(e.key)) {
-                ++pos_;
-                continue; // cancelled: melts, time does not advance
-            }
-            if (e.key.when > limit)
-                return now_; // left pending for the next run()
-            ++pos_;
-            dispatch(e.key, e.val);
-            dispatched = true;
-            break;
-        }
-        if (dispatched)
-            continue; // re-read the bucket: fire() may have grown it
-        if (!prepareNext(limit))
-            return now_;
-    }
-}
-
-void
-EventQueue::clear()
-{
-    for (auto &b : wheel_)
-        b.clear();
-    occ_ = 0;
-    base_ = 0;
+    // Retire the exhausted current bucket (every entry consumed).
+    bucketOf(base_).clear();
+    occ_ &= ~(1ull << (base_ & kWheelMask));
     pos_ = 0;
-    keys_.clear();
-    vals_.clear();
-    far_.clear();
-    farMin_ = kTickNever;
-    fns_.clear();
-    freeFns_.clear();
-    slotLive_.clear();
-    freeSlots_.clear();
-    live_ = 0;
-    now_ = 0;
-    // seq_ deliberately survives: ordering is relative, and keeping it
-    // monotonic guarantees a pre-clear EventHandle can never alias a
-    // post-clear event that recycles its slot.
+
+    // Melt cancelled heap tops so hNext names a live entry.
+    while (!keys_.empty() && dead(keys_.front()))
+        popTop();
+
+    const Tick wNext = nextWheelTick();
+    const Tick hNext = keys_.empty() ? kTickNever : keys_.front().when;
+    const Tick cand = wNext < hNext ? wNext : hNext;
+    if (cand == kTickNever || cand > limit)
+        return false; // base_ stays: the window has not moved
+    base_ = cand;
+
+    // Slide the window over the heap: entries now inside it become
+    // bucket entries, in (when, seq) pop order.
+    while (!keys_.empty() && keys_.front().when <= base_ + kWheelMask) {
+        const Key k = keys_.front();
+        const Val v = vals_.front();
+        popTop();
+        if (!dead(k))
+            bucketInsert(k, v);
+    }
+    return true;
 }
 
 } // namespace refrint

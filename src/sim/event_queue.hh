@@ -3,13 +3,13 @@
  * Discrete-event simulation kernel.
  *
  * A single global-ordered queue of (tick, sequence) entries.  Components
- * either derive from EventClient and schedule themselves, or enqueue
- * one-shot lambdas.  Sequence numbers break ties so simultaneous events
- * fire in scheduling order, which makes runs fully deterministic.
+ * derive from EventClient and schedule themselves, plainly or through a
+ * cancellable handle.  Sequence numbers break ties so simultaneous
+ * events fire in scheduling order, which makes runs fully deterministic.
  *
- * Hot-path layout, three bands by time-to-fire:
+ * Hot-path layout, two bands by time-to-fire:
  *
- *  - Wheel (due within kWheelSpan ticks): a 64-slot timing wheel —
+ *  - Wheel (due within kWheelSize ticks): a 64-slot timing wheel —
  *    one bucket per tick of the sliding window [base_, base_+63], a
  *    64-bit occupancy mask, O(1) admission and dispatch.  Core-like
  *    clients reschedule a handful of ticks out, so the dominant event
@@ -18,19 +18,13 @@
  *    with the core count, which is why a 32-core machine used to
  *    dispatch slower than a 16-core one).
  *
- *  - Heap (due within kFarHorizon): a flat 4-ary implicit heap, split
+ *  - Heap (everything later): a flat 4-ary implicit heap, split
  *    SoA-style into 16-byte ordering keys (tick, seq, cancellation
  *    slot) and 16-byte payloads so sift comparisons scan packed keys
  *    only.  Entries migrate heap -> wheel in pop order when the window
  *    slides over them, which preserves the (when, seq) total order.
  *
- *  - Far band (beyond kFarHorizon): unsorted, O(1) admission, batch
- *    promotion into the heap, keeping the heap at core-count scale
- *    instead of holding every retention deadline.
- *
- * The 99% case (an EventClient callback) never touches a
- * std::function; one-shot lambdas are parked in a side slab and
- * referenced by index.
+ * Every dispatch goes through step(); run() is a loop over it.
  *
  * Cancellation is lazy and O(1): a handle names a slot stamped with its
  * event's sequence number; cancel() retires the stamp and the dead
@@ -43,12 +37,13 @@
  *    (append), and heap migrations arrive in heap pop order (a rare
  *    backward insert positions an old-seq migrant before same-tick
  *    fresh entries);
- *  - user code only runs during dispatch, when now_ == base_, so a
- *    schedule() can never target a bucket behind the window;
- *  - a bounded run() that leaves base_ ahead of now_ may later see an
- *    admission behind the window; it lands in the heap and a backward
- *    window move flushes the wheel through the heap first, so buckets
- *    never mix ticks.
+ *  - every pending entry lies at or after base_, so the current
+ *    bucket is always the earliest: user code only runs during
+ *    dispatch, when now_ == base_, and a bounded run() that slides
+ *    base_ ahead of now_ (over buckets whose entries were all
+ *    cancelled) makes a later admission behind the window rewind it —
+ *    the wheel is flushed through the heap and the window restarts at
+ *    now_, so buckets never mix ticks.
  */
 
 #ifndef REFRINT_SIM_EVENT_QUEUE_HH
@@ -56,9 +51,6 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
-#include <utility>
-#include <vector>
 
 #include "common/arena.hh"
 #include "common/log.hh"
@@ -105,13 +97,12 @@ struct EventHandle
 class EventQueue
 {
   public:
-    /** @p arena, when non-null, backs the kernel's bands and slabs so
-     *  a worker can recycle them across runs (common/arena.hh). */
+    /** @p arena, when non-null, backs the kernel's bands and slot
+     *  table so a worker can recycle them across runs
+     *  (common/arena.hh). */
     explicit EventQueue(Arena *arena = nullptr)
         : keys_(ArenaAllocator<Key>(arena)),
           vals_(ArenaAllocator<Val>(arena)),
-          far_(ArenaAllocator<Entry>(arena)),
-          freeFns_(ArenaAllocator<std::uint32_t>(arena)),
           slotLive_(ArenaAllocator<std::uint32_t>(arena)),
           freeSlots_(ArenaAllocator<std::uint32_t>(arena))
     {
@@ -160,25 +151,11 @@ class EventQueue
     bool
     cancel(const EventHandle &h)
     {
-        // The size check also covers handles that predate a clear():
-        // clear() empties the slot table, spending every handle.
-        if (!h.pending() || h.slot >= slotLive_.size() ||
-            slotLive_[h.slot] != h.seq)
+        if (!h.pending() || slotLive_[h.slot] != h.seq)
             return false; // inert, already fired, or already cancelled
         freeSlot(h.slot);
         --live_;
         return true;
-    }
-
-    /** Schedule a one-shot callable. */
-    void
-    scheduleFn(Tick when, std::function<void(Tick)> fn)
-    {
-        panicIf(when < now_, "event scheduled in the past");
-        const std::uint32_t idx = allocFn(std::move(fn));
-        admit(Key{when, nextSeq(), EventHandle::kNoSlot},
-              Val{nullptr, idx});
-        ++live_;
     }
 
     /** Current simulation time (last dispatched event's tick). */
@@ -188,34 +165,45 @@ class EventQueue
     bool empty() const { return live_ == 0; }
     std::size_t size() const { return live_; }
 
-    /** Dispatch the single earliest live event.  @return false if no
-     *  live event remains.  Inline: this is the simulation main loop. */
+    /**
+     * Dispatch the single earliest live event, unless it lies past
+     * @p limit (events at exactly @p limit still fire).  Inline: this
+     * is the simulation main loop.
+     * @return false if no live event remains at or before @p limit.
+     */
     bool
-    step()
+    step(Tick limit = kTickNever)
     {
         for (;;) {
             const ArenaVector<Entry> &b = bucketOf(base_);
             while (pos_ < b.size()) {
-                const Entry e = b[pos_++]; // copy: fire() may grow b
-                if (dead(e.key))
+                const Entry e = b[pos_]; // copy: fire() may grow b
+                if (dead(e.key)) {
+                    ++pos_;
                     continue; // cancelled: melts, time does not advance
+                }
+                if (e.key.when > limit)
+                    return false; // left pending for a later step()
+                ++pos_;
                 dispatch(e.key, e.val);
                 return true;
             }
-            if (!prepareNext(kTickNever))
+            if (!prepareNext(limit))
                 return false;
         }
     }
 
     /**
      * Run until the queue drains or simulated time would pass @p limit.
-     * Events scheduled at exactly @p limit still fire.
      * @return the final simulation time.
      */
-    Tick run(Tick limit = kTickNever);
-
-    /** Drop all pending events (used between experiment runs). */
-    void clear();
+    Tick
+    run(Tick limit = kTickNever)
+    {
+        while (step(limit)) {
+        }
+        return now_;
+    }
 
   private:
     /** Ordering key, 16 bytes: four keys per cache line, so the sift
@@ -237,11 +225,11 @@ class EventQueue
      *  read during sift comparisons. */
     struct Val
     {
-        EventClient *client; ///< nullptr => one-shot fn; tag = fn index
+        EventClient *client;
         std::uint64_t tag;
     };
 
-    /** Wheel-bucket / far-band entry (unsorted storage; never sifted). */
+    /** Wheel-bucket entry (never sifted). */
     struct Entry
     {
         Key key;
@@ -257,17 +245,6 @@ class EventQueue
     static constexpr unsigned kWheelSize = 64;
     static constexpr Tick kWheelMask = kWheelSize - 1;
 
-    /**
-     * Horizon splitting the heap from the far band.  Entries due within
-     * the horizon (but beyond the wheel) go to the near heap; later
-     * ones sit in an unsorted far band (O(1) admission) and are
-     * promoted in batches when the heap would otherwise run past them.
-     * Keeping the heap small — imminent refresh wakes, not every
-     * retention deadline tens of thousands of ticks out — makes every
-     * sift touch two or three rungs instead of five.
-     */
-    static constexpr Tick kFarHorizon = 4096;
-
     std::uint32_t
     nextSeq()
     {
@@ -277,24 +254,18 @@ class EventQueue
 
     ArenaVector<Entry> &bucketOf(Tick t) { return wheel_[t & kWheelMask]; }
 
-    /** Route a new entry to the wheel, the near heap or the far band.
-     *  Callers run either before the first dispatch or inside one, so
-     *  now_ == base_ and `when - base_` cannot underflow for any
-     *  admissible when — except after a bounded run() left base_ ahead
-     *  of now_, where the underflow wraps huge and correctly routes
-     *  the entry to the heap (see prepareNext's backward-move flush). */
+    /** Route a new entry to the wheel or the heap.  An entry behind
+     *  the window (possible only after a bounded run() left base_ ahead
+     *  of now_) wraps `when - base_` huge and takes the rewind. */
     void
     admit(const Key &k, const Val &v)
     {
-        if (k.when >= now_ + kFarHorizon) {
-            far_.push_back(Entry{k, v});
-            if (k.when < farMin_)
-                farMin_ = k.when;
-        } else if (k.when - base_ < kWheelSize) {
+        if (k.when - base_ < kWheelSize)
             bucketInsert(k, v);
-        } else {
+        else if (k.when >= base_)
             push(k, v);
-        }
+        else
+            rewind(k, v);
     }
 
     /**
@@ -383,9 +354,9 @@ class EventQueue
 
     /**
      * The current bucket is exhausted: retire it and slide the window
-     * to the earliest pending tick anywhere in the kernel (wheel,
-     * heap, or far band), migrating heap entries that fall inside the
-     * new window into their buckets.  Commits nothing past @p limit.
+     * to the earliest pending tick anywhere in the kernel (wheel or
+     * heap), migrating heap entries that fall inside the new window
+     * into their buckets.  Commits nothing past @p limit.
      * @return false when there is nothing to dispatch at or before
      * @p limit (base_ is then left unmoved).
      */
@@ -405,13 +376,11 @@ class EventQueue
     }
 
     /** Rare slow path: a bounded run() slid the window past now_ and a
-     *  caller then scheduled behind it — push every bucketed entry back
-     *  through the heap so the window can move backward without ever
-     *  mixing ticks in a bucket. */
-    void flushWheelToHeap();
-
-    /** Move the far band's next horizon window into the near heap. */
-    void promoteFar();
+     *  caller now schedules @p k behind it.  Push every bucketed entry
+     *  back through the heap, restart the window at now_ and admit @p k
+     *  afresh, so nothing can fire ahead of it and later same-tick
+     *  admissions queue behind it in its bucket. */
+    void rewind(const Key &k, const Val &v);
 
     static constexpr std::uint32_t kNoLiveSeq = 0xffffffffu;
 
@@ -437,19 +406,6 @@ class EventQueue
         freeSlots_.push_back(slot);
     }
 
-    std::uint32_t
-    allocFn(std::function<void(Tick)> fn)
-    {
-        if (!freeFns_.empty()) {
-            const std::uint32_t i = freeFns_.back();
-            freeFns_.pop_back();
-            fns_[i] = std::move(fn);
-            return i;
-        }
-        fns_.push_back(std::move(fn));
-        return static_cast<std::uint32_t>(fns_.size() - 1);
-    }
-
     /** Dispatch a live entry (already consumed from its bucket). */
     void
     dispatch(const Key &k, const Val &v)
@@ -458,14 +414,8 @@ class EventQueue
         now_ = k.when;
         if (k.slot != EventHandle::kNoSlot)
             freeSlot(k.slot); // the handle is spent once the event fires
-        if (v.client != nullptr)
-            v.client->fire(now_, v.tag);
-        else
-            dispatchFn(v);
+        v.client->fire(now_, v.tag);
     }
-
-    /** One-shot slab path, out of line (the rare case). */
-    void dispatchFn(const Val &v);
 
     /** Timing wheel: bucket (t & 63) holds the entries of absolute
      *  tick t for t in [base_, base_+63], each bucket seq-sorted. */
@@ -474,12 +424,8 @@ class EventQueue
     Tick base_ = 0;         ///< window start == tick being dispatched
     std::size_t pos_ = 0;   ///< consumed prefix of the current bucket
 
-    ArenaVector<Key> keys_; ///< mid band (implicit 4-ary heap), keys
-    ArenaVector<Val> vals_; ///< mid band payloads, parallel to keys_
-    ArenaVector<Entry> far_; ///< far band (unsorted; batch-promoted)
-    Tick farMin_ = kTickNever; ///< earliest `when` in the far band
-    std::vector<std::function<void(Tick)>> fns_; ///< one-shot slab
-    ArenaVector<std::uint32_t> freeFns_;
+    ArenaVector<Key> keys_; ///< heap band (implicit 4-ary heap), keys
+    ArenaVector<Val> vals_; ///< heap band payloads, parallel to keys_
     ArenaVector<std::uint32_t> slotLive_; ///< live event seq per slot
     ArenaVector<std::uint32_t> freeSlots_;
     std::size_t live_ = 0;

@@ -13,6 +13,7 @@
 #include "api/json.hh"
 #include "api/scenario.hh"
 #include "common/log.hh"
+#include "edram/refresh_policy.hh"
 #include "service/store.hh"
 #include "validate/analytic_model.hh"
 #include "workload/workload.hh"
@@ -100,25 +101,6 @@ parseMachineLabel(const std::string &m, std::uint32_t &cores,
         return false;
     cores = static_cast<std::uint32_t>(v);
     return true;
-}
-
-/** Non-fatal mirror of parsePolicy()'s grammar. */
-bool
-knownConfig(const std::string &s)
-{
-    if (s == "SRAM")
-        return true;
-    if (s.size() < 3 ||
-        (s[0] != 'P' && s[0] != 'R' && s[0] != 'S') || s[1] != '.')
-        return false;
-    const std::string body = s.substr(2);
-    if (body == "all" || body == "valid" || body == "dirty")
-        return true;
-    unsigned n = 0, mm = 0;
-    char close = 0;
-    return std::sscanf(body.c_str(), "WB(%u,%u%c", &n, &mm, &close) ==
-               3 &&
-           close == ')';
 }
 
 /** Scenario family label for the calibration table: "SRAM", "P.all",
@@ -292,7 +274,7 @@ runValidate(const ValidateOptions &opts, ValidateReport *reportOut)
             continue;
         }
         MachineConfig *cfg = nullptr;
-        if (knownConfig(k.config)) {
+        if (k.config == "SRAM" || tryParsePolicy(k.config)) {
             std::snprintf(buf, sizeof(buf), "%s|%.17g|%.17g|%u|%d",
                           k.config.c_str(), k.retentionUs, k.ambientC,
                           cores, hybrid ? 1 : 0);

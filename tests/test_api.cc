@@ -521,6 +521,36 @@ TEST(ExperimentPlanTest, LoaderRejectsCrossFamilyBaselines)
     EXPECT_NE(err.find("not itself a baseline"), std::string::npos);
 }
 
+TEST(ExperimentPlanTest, LoaderRejectsMalformedPolicyNames)
+{
+    auto planWith = [](const char *config) {
+        return std::string(
+                   "{\"plan\": \"x\", \"version\": 1, \"scenarios\": ["
+                   "{\"app\": \"fft\", \"config\": \"SRAM\", "
+                   "\"retentionUs\": 0, \"ambientC\": 0, \"cores\": 16, "
+                   "\"refs\": 100, \"seed\": 1, \"baseline\": -1}, "
+                   "{\"app\": \"fft\", \"config\": \"") +
+               config +
+               "\", \"retentionUs\": 50, \"ambientC\": 0, "
+               "\"cores\": 16, \"refs\": 100, \"seed\": 1, "
+               "\"baseline\": 0}]}";
+    };
+    ExperimentPlan plan;
+    std::string err;
+    EXPECT_TRUE(ExperimentPlan::tryFromJson(planWith("R.WB(32,32)"), plan,
+                                            err))
+        << err;
+    // Rejected at load time, before any scenario (the baseline
+    // included) simulates; serve turns this into an error reply.
+    for (const char *bad : {"R.bogus", "R.WB(32,32)junk", "R.WB(32,32",
+                            "R.WB( 32,32)", "R.WB(-1,4)", "sram"}) {
+        SCOPED_TRACE(bad);
+        EXPECT_FALSE(ExperimentPlan::tryFromJson(planWith(bad), plan, err));
+        EXPECT_NE(err.find("\"config\""), std::string::npos) << err;
+        EXPECT_NE(err.find(bad), std::string::npos) << err;
+    }
+}
+
 TEST(ExperimentPlanTest, MaxTicksIsOptionalButMustBePositive)
 {
     const char *noTicks =

@@ -3,7 +3,8 @@
  * The command-line tool end to end, run as a subprocess: its plan
  * builders (flags beat the REFRINT_* environment, which only fills
  * what the flags leave unset; every grid flag reaches every scenario;
- * zero refs and unknown env apps are errors, not silent defaults),
+ * zero refs, unknown env apps and malformed policy names are errors,
+ * not silent defaults),
  * `cache migrate`'s exit contract, and the store-only result flags.
  */
 
@@ -209,6 +210,23 @@ TEST(CliPlanTest, UnknownEnvAppIsAnErrorNotTheFullGrid)
         flag.out.substr(flag.out.find('\n') + 1);
     ASSERT_FALSE(listing.empty());
     EXPECT_NE(r.out.find(listing), std::string::npos) << r.out;
+}
+
+TEST(CliPlanTest, MalformedPolicyIsAUsageError)
+{
+    // Each of these once parsed (the last as R.WB(4294967295,4)) and
+    // ran under a store key its row's policy name did not match.
+    for (const char *pol : {"R.WB(32,32", "R.WB(32,32)junk",
+                            "R.WB( 32,32)", "R.WB(-1,4)", "R.bogus"}) {
+        SCOPED_TRACE(pol);
+        const CliResult r =
+            runCli("REFRINT_STORE=",
+                   std::string("run --app fft --refs 100 --policy '") +
+                       pol + "'",
+                   /*withStderr=*/true);
+        EXPECT_EQ(r.status, 2) << r.out;
+        EXPECT_NE(r.out.find("--policy"), std::string::npos) << r.out;
+    }
 }
 
 // ---------------------------------------------------------------------

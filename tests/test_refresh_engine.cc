@@ -1,7 +1,10 @@
 /**
  * @file
  * Unit tests for the refresh engines, using a mock RefreshTarget so the
- * engines are exercised in isolation from the coherence hierarchy.
+ * engines are exercised in isolation from the coherence hierarchy.  The
+ * mock takes the same service loops the hierarchy adapter does: one
+ * refreshLines() charge per burst or interrupt, so a refreshed line
+ * shows as a charge record plus its renewed data clock.
  */
 
 #include <gtest/gtest.h>
@@ -9,12 +12,16 @@
 #include <vector>
 
 #include "edram/refresh_engine.hh"
+#include "test_util.hh"
 
 namespace refrint::test
 {
 
 namespace
 {
+
+/** One refreshLines() call: (count, tick). */
+using Charge = std::pair<std::uint32_t, Tick>;
 
 /** RefreshTarget recording every action the engine takes. */
 struct MockTarget : RefreshTarget
@@ -29,9 +36,9 @@ struct MockTarget : RefreshTarget
     CacheArray &array() override { return arr; }
 
     void
-    refreshLine(std::uint32_t idx, Tick now) override
+    refreshLines(std::uint32_t count, Tick now) override
     {
-        refreshed.emplace_back(idx, now);
+        charges.emplace_back(count, now);
     }
 
     void
@@ -57,9 +64,19 @@ struct MockTarget : RefreshTarget
 
     const char *name() const override { return "mock"; }
 
+    /** Line refreshes charged so far, over every charge. */
+    std::uint64_t
+    refreshed() const
+    {
+        std::uint64_t n = 0;
+        for (const auto &c : charges)
+            n += c.first;
+        return n;
+    }
+
     CacheArray arr;
-    std::vector<std::pair<std::uint32_t, Tick>> refreshed, wrote,
-        invalidated;
+    std::vector<Charge> charges;
+    std::vector<std::pair<std::uint32_t, Tick>> wrote, invalidated;
     Tick busyCycles = 0;
 };
 
@@ -91,6 +108,7 @@ struct EngineFixture
 
     MockTarget target;
     EventQueue eq;
+    Callbacks cb{eq};
     StatGroup stats{"eng"};
     std::unique_ptr<RefreshEngine> engine;
 };
@@ -109,11 +127,12 @@ TEST(RefrintEngine, SentryMarginFollowsLineCount)
     f.engine->start(0);
     f.install(3, 0);
     f.eq.run(983);
-    EXPECT_TRUE(f.target.refreshed.empty());
+    EXPECT_TRUE(f.target.charges.empty());
     f.eq.run(984);
-    ASSERT_EQ(f.target.refreshed.size(), 1u);
-    EXPECT_EQ(f.target.refreshed[0].first, 3u);
-    EXPECT_EQ(f.target.refreshed[0].second, 984u);
+    ASSERT_EQ(f.target.charges.size(), 1u);
+    EXPECT_EQ(f.target.charges[0], (Charge{1, 984}));
+    EXPECT_EQ(f.target.arr.lineAt(3).dataExpiry, 984u + 1000u)
+        << "line 3 renewed by the interrupt at 984";
 }
 
 TEST(RefrintEngine, AccessDefersTheSentry)
@@ -123,11 +142,11 @@ TEST(RefrintEngine, AccessDefersTheSentry)
     f.engine->start(0);
     f.install(3, 0);
     // Touch the line at 500: next decay moves to 1484.
-    f.eq.scheduleFn(500, [&](Tick t) { f.engine->onAccess(3, t); });
+    f.cb.at(500, [&](Tick t) { f.engine->onAccess(3, t); });
     f.eq.run(1483);
-    EXPECT_TRUE(f.target.refreshed.empty());
+    EXPECT_TRUE(f.target.charges.empty());
     f.eq.run(1484);
-    EXPECT_EQ(f.target.refreshed.size(), 1u);
+    EXPECT_EQ(f.target.charges, (std::vector<Charge>{{1, 1484}}));
 }
 
 TEST(RefrintEngine, HotLineNeverExplicitlyRefreshed)
@@ -138,9 +157,9 @@ TEST(RefrintEngine, HotLineNeverExplicitlyRefreshed)
     f.install(5, 0);
     // Touch every 400 ticks, well under the 984-tick sentry retention.
     for (Tick t = 400; t <= 4000; t += 400)
-        f.eq.scheduleFn(t, [&](Tick now) { f.engine->onAccess(5, now); });
+        f.cb.at(t, [&](Tick now) { f.engine->onAccess(5, now); });
     f.eq.run(4000);
-    EXPECT_TRUE(f.target.refreshed.empty())
+    EXPECT_TRUE(f.target.charges.empty())
         << "accesses auto-refresh; the sentry must keep deferring";
 }
 
@@ -151,7 +170,8 @@ TEST(RefrintEngine, IdleValidLineRefreshedOncePerSentryPeriod)
     f.engine->start(0);
     f.install(0, 0);
     f.eq.run(984 * 4 + 10);
-    EXPECT_EQ(f.target.refreshed.size(), 4u);
+    EXPECT_EQ(f.target.refreshed(), 4u);
+    EXPECT_EQ(f.target.charges.size(), 4u) << "one interrupt per period";
 }
 
 TEST(RefrintEngine, InvalidLinesAreNotTracked)
@@ -160,7 +180,7 @@ TEST(RefrintEngine, InvalidLinesAreNotTracked)
                     1000);
     f.engine->start(0);
     f.eq.run(5000);
-    EXPECT_TRUE(f.target.refreshed.empty());
+    EXPECT_TRUE(f.target.charges.empty());
     EXPECT_TRUE(f.eq.empty()) << "nothing armed, nothing scheduled";
 }
 
@@ -171,7 +191,7 @@ TEST(RefrintEngine, AllPolicyRefreshesInvalidLinesToo)
     f.engine->start(0);
     f.eq.run(2000);
     // All 16 (invalid) lines refreshed at least twice in two periods.
-    EXPECT_GE(f.target.refreshed.size(), 32u);
+    EXPECT_GE(f.target.refreshed(), 32u);
     EXPECT_TRUE(f.target.invalidated.empty());
 }
 
@@ -185,8 +205,10 @@ TEST(RefrintEngine, DirtyPolicyInvalidatesCleanOnDecay)
     f.eq.run(1200);
     ASSERT_EQ(f.target.invalidated.size(), 1u);
     EXPECT_EQ(f.target.invalidated[0].first, 1u);
-    ASSERT_EQ(f.target.refreshed.size(), 1u);
-    EXPECT_EQ(f.target.refreshed[0].first, 2u);
+    ASSERT_EQ(f.target.charges.size(), 1u);
+    EXPECT_EQ(f.target.charges[0], (Charge{1, 984}));
+    EXPECT_EQ(f.target.arr.lineAt(2).dataExpiry, 984u + 1000u)
+        << "the dirty line is the one refreshed";
 }
 
 TEST(RefrintEngine, WbLifecycleOnIdleDirtyLine)
@@ -197,7 +219,7 @@ TEST(RefrintEngine, WbLifecycleOnIdleDirtyLine)
     f.engine->start(0);
     f.install(4, 0, /*dirty=*/true);
     f.eq.run(984 * 5);
-    EXPECT_EQ(f.target.refreshed.size(), 3u); // 2 dirty + 1 clean
+    EXPECT_EQ(f.target.refreshed(), 3u); // 2 dirty + 1 clean
     EXPECT_EQ(f.target.wrote.size(), 1u);
     EXPECT_EQ(f.target.invalidated.size(), 1u);
 }
@@ -214,7 +236,10 @@ TEST(RefrintEngine, GroupedSentriesServiceWholeGroup)
     f.install(2, 0);
     f.install(9, 0); // different group
     f.eq.run(990);
-    EXPECT_EQ(f.target.refreshed.size(), 4u);
+    EXPECT_EQ(f.target.refreshed(), 4u);
+    EXPECT_EQ(f.target.charges,
+              (std::vector<Charge>{{3, 984}, {1, 984}}))
+        << "one charge per group interrupt";
     EXPECT_EQ(f.target.busyCycles, 4u) << "one stolen cycle per line";
 }
 
@@ -226,9 +251,10 @@ TEST(RefrintEngine, GroupFiresAtEarliestMemberDeadline)
     f.install(0, 0);
     // Second member installed later: group still fires at the first
     // member's deadline, refreshing both (the grouping cost).
-    f.eq.scheduleFn(500, [&](Tick t) { f.install(1, t); });
+    f.cb.at(500, [&](Tick t) { f.install(1, t); });
     f.eq.run(984);
-    EXPECT_EQ(f.target.refreshed.size(), 2u);
+    EXPECT_EQ(f.target.charges, (std::vector<Charge>{{2, 984}}));
+    EXPECT_EQ(f.target.arr.lineAt(1).dataExpiry, 984u + 1000u);
 }
 
 TEST(RefrintEngine, BusyCyclesMatchServicedLines)
@@ -252,9 +278,10 @@ TEST(PeriodicEngine, VisitsEveryLineOncePerPeriod)
                     1000);
     f.engine->start(0);
     f.eq.run(1000);
-    EXPECT_EQ(f.target.refreshed.size(), 16u);
+    EXPECT_EQ(f.target.refreshed(), 16u);
+    EXPECT_EQ(f.target.charges.size(), 4u) << "one charge per burst";
     f.eq.run(2000);
-    EXPECT_EQ(f.target.refreshed.size(), 32u);
+    EXPECT_EQ(f.target.refreshed(), 32u);
 }
 
 TEST(PeriodicEngine, BurstsAreStaggeredAcrossThePeriod)
@@ -263,7 +290,7 @@ TEST(PeriodicEngine, BurstsAreStaggeredAcrossThePeriod)
                     1000);
     f.engine->start(0);
     f.eq.run(499);
-    const std::size_t firstHalf = f.target.refreshed.size();
+    const std::uint64_t firstHalf = f.target.refreshed();
     EXPECT_GT(firstHalf, 0u);
     EXPECT_LT(firstHalf, 16u)
         << "the full cache must not refresh in one burst";
@@ -278,9 +305,9 @@ TEST(PeriodicEngine, EagerlyRefreshesRecentlyAccessedLines)
     f.engine->start(0);
     f.install(0, 0);
     for (Tick t = 100; t <= 2000; t += 100)
-        f.eq.scheduleFn(t, [&](Tick now) { f.engine->onAccess(0, now); });
+        f.cb.at(t, [&](Tick now) { f.engine->onAccess(0, now); });
     f.eq.run(2100);
-    EXPECT_GE(f.target.refreshed.size(), 2u)
+    EXPECT_GE(f.target.refreshed(), 2u)
         << "periodic refreshes hot lines anyway";
 }
 
@@ -291,8 +318,9 @@ TEST(PeriodicEngine, ValidSkipsInvalidLines)
     f.engine->start(0);
     f.install(7, 0);
     f.eq.run(1000);
-    EXPECT_EQ(f.target.refreshed.size(), 1u);
-    EXPECT_EQ(f.target.refreshed[0].first, 7u);
+    // Line 7 sits in burst 1 (lines 4-7), phased at 1000 / 4 + 1.
+    EXPECT_EQ(f.target.charges, (std::vector<Charge>{{1, 251}}));
+    EXPECT_EQ(f.target.arr.lineAt(7).dataExpiry, 251u + 1000u);
 }
 
 TEST(PeriodicEngine, WbCountsDownAcrossPeriods)
@@ -304,7 +332,7 @@ TEST(PeriodicEngine, WbCountsDownAcrossPeriods)
     f.eq.run(3 * 1000 + 10);
     // Period 1: count 1 -> refresh; period 2: count 0 dirty -> WB;
     // period 3: clean, m=0 -> invalidate.
-    EXPECT_EQ(f.target.refreshed.size(), 1u);
+    EXPECT_EQ(f.target.refreshed(), 1u);
     EXPECT_EQ(f.target.wrote.size(), 1u);
     EXPECT_EQ(f.target.invalidated.size(), 1u);
 }

@@ -7,7 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "edram/refresh_policy.hh"
+#include "harness/sweep.hh"
 
 namespace refrint::test
 {
@@ -35,11 +39,44 @@ validDirty()
 
 TEST(PolicyNames, RoundTrip)
 {
-    for (const char *s : {"P.all", "R.all", "P.valid", "R.valid",
-                          "P.dirty", "R.dirty", "P.WB(4,4)",
-                          "R.WB(32,32)", "R.WB(16,8)"}) {
+    std::vector<std::string> names = {"P.all", "R.all", "P.valid",
+                                      "R.valid", "P.dirty", "R.dirty",
+                                      "P.WB(4,4)", "R.WB(32,32)",
+                                      "R.WB(16,8)"};
+    // Every policy the paper sweep runs, and its SmartRefresh twin.
+    const std::vector<RefreshPolicy> sweep = paperPolicySweep();
+    ASSERT_EQ(sweep.size(), 14u);
+    for (const RefreshPolicy &p : sweep) {
+        names.push_back(p.name());
+        names.push_back("S" + p.name().substr(1));
+    }
+    for (const std::string &s : names) {
+        SCOPED_TRACE(s);
+        const std::optional<RefreshPolicy> p = tryParsePolicy(s);
+        ASSERT_TRUE(p.has_value());
+        EXPECT_EQ(p->name(), s);
         EXPECT_EQ(parsePolicy(s).name(), s);
     }
+    EXPECT_EQ(tryParsePolicy("S.WB(8,8)")->time, TimePolicy::SmartRefresh);
+}
+
+TEST(PolicyNames, TryParseAcceptsOnlyTheCanonicalSpelling)
+{
+    // Each would otherwise alias a canonical policy (or a huge WB
+    // count) under a store key its row's name does not match.
+    for (const char *s :
+         {"R.WB(32,32", "R.WB(32,32)junk", "R.WB( 32,32)", "R.WB(-1,4)",
+          "R.WB(+1,4)", "R.WB(032,32)", "R.WB(32, 32)",
+          "R.WB(4294967296,4)", "R.WB(4,4)(", "R.WB(,4)", "R.allx",
+          "R.all ", "R.", "SRAM", "", "R.WB(4)", "X.valid"}) {
+        SCOPED_TRACE(s);
+        EXPECT_FALSE(tryParsePolicy(s).has_value());
+    }
+    // An embedded NUL must not end the comparison early.
+    EXPECT_FALSE(tryParsePolicy(std::string("R.all\0x", 7)).has_value());
+    // The largest count name() can print still round-trips.
+    EXPECT_EQ(tryParsePolicy("R.WB(4294967295,0)")->name(),
+              "R.WB(4294967295,0)");
 }
 
 TEST(PolicyNames, Constructors)

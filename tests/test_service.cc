@@ -1111,6 +1111,46 @@ TEST(ServeTest, SigtermDrainsInFlightWorkAndExitsZero)
     EXPECT_EQ(WEXITSTATUS(status), 0);
 }
 
+TEST(ServeTest, BadPolicyPlanIsAnErrorReplyNotAnExit)
+{
+    TempDir dir;
+    ServeOptions opts;
+    opts.socketPath = dir.file("s.sock");
+    opts.jobs = 1;
+    ServerGuard server{forkServe(opts)};
+    ASSERT_GE(server.pid, 0);
+
+    // A valid SRAM baseline, then a scenario whose policy name does
+    // not parse: the whole plan is refused before anything simulates.
+    const std::string plan =
+        "{\"plan\":\"x\",\"version\":1,\"scenarios\":["
+        "{\"app\":\"fft\",\"config\":\"SRAM\",\"retentionUs\":0,"
+        "\"ambientC\":0,\"cores\":16,\"refs\":100,\"seed\":1,"
+        "\"baseline\":-1},"
+        "{\"app\":\"fft\",\"config\":\"R.bogus\",\"retentionUs\":50,"
+        "\"ambientC\":0,\"cores\":16,\"refs\":100,\"seed\":1,"
+        "\"baseline\":0}]}";
+    const int fd = connectUnix(opts.socketPath);
+    ASSERT_GE(fd, 0);
+    ASSERT_TRUE(sendLine(fd, plan));
+    const std::string reply = readLine(fd);
+    EXPECT_EQ(reply.rfind("{\"error\":", 0), 0u) << reply;
+    EXPECT_NE(reply.find("R.bogus"), std::string::npos) << reply;
+
+    // The service is still up and counted one error, no plan run.
+    ASSERT_TRUE(sendLine(fd, "{\"op\":\"stats\"}"));
+    const std::string stats = readLine(fd);
+    EXPECT_NE(stats.find("\"stats\":true"), std::string::npos) << stats;
+    EXPECT_NE(stats.find("\"errors\":1,"), std::string::npos) << stats;
+    EXPECT_NE(stats.find("\"plans\":0,"), std::string::npos) << stats;
+    EXPECT_TRUE(sendLine(fd, "{\"op\":\"shutdown\"}"));
+    EXPECT_EQ(readLine(fd), "{\"bye\":true}");
+    ::close(fd);
+    const int status = waitExit(server);
+    ASSERT_TRUE(WIFEXITED(status));
+    EXPECT_EQ(WEXITSTATUS(status), 0);
+}
+
 TEST(ServeTest, FullQueueShedsNewConnectionsWithAnOverloadError)
 {
     TempDir dir;

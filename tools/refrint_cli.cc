@@ -31,6 +31,7 @@
 #include "api/result_sink.hh"
 #include "api/session.hh"
 #include "common/env.hh"
+#include "edram/refresh_policy.hh"
 #include "edram/retention.hh"
 #include "harness/report.hh"
 #include "harness/sweep.hh"
@@ -230,8 +231,13 @@ parseArgs(int argc, char **argv, int first)
             a.app = val();
             a.apps.push_back(a.app);
         }
-        else if (k == "--policy")
+        else if (k == "--policy") {
             a.policy = val();
+            if (!tryParsePolicy(a.policy))
+                usageError("--policy '%s' is not a refresh policy name "
+                           "such as P.all, R.valid or R.WB(32,32)",
+                           a.policy.c_str());
+        }
         else if (k == "--retention") {
             a.retentionUs = argF64("--retention", val());
             if (a.retentionUs <= 0)
