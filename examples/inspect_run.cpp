@@ -10,7 +10,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <map>
 #include <string>
 
 #include "harness/runner.hh"
@@ -45,13 +44,12 @@ main(int argc, char **argv)
     CmpSystem sys(cfg, *app, sim);
     sys.run();
 
-    std::map<std::string, double> st;
-    sys.hierarchy().dumpStats(st);
+    const Hierarchy &hier = sys.hierarchy();
     const RunResult r = [&] {
         RunResult rr;
         rr.execTicks = sys.execTicks();
         rr.instructions = sys.totalInstructions();
-        rr.counts = sys.hierarchy().counts();
+        rr.counts = hier.counts();
         rr.energy = computeEnergy(EnergyParams::calibrated(), rr.counts,
                                   cfg, rr.execTicks, rr.instructions);
         return rr;
@@ -67,30 +65,35 @@ main(int argc, char **argv)
                 ticksToSeconds(r.execTicks) * 1e6, cpr,
                 static_cast<unsigned long long>(r.instructions));
 
-    auto rate = [&](const char *miss, const char *acc1,
-                    const char *acc2) {
-        const double m = st[miss];
-        const double a = st[acc1] + (acc2 ? st[acc2] : 0.0);
+    // Hit rate of a level over the accesses it counts (@p withWrites:
+    // whether its writes look the line up too).
+    auto rate = [&](LevelRole role, bool withWrites) {
+        const AccessCounts c = hier.levelCounts(role).access;
+        const double m = static_cast<double>(c.misses);
+        const double a = static_cast<double>(
+            c.reads + (withWrites ? c.writes : 0));
         return a > 0 ? 100.0 * (1.0 - m / a) : 0.0;
     };
     std::printf("hit rates: dl1 %.1f%%  il1 %.1f%%  l2 %.1f%%  l3 "
                 "%.1f%%\n",
-                rate("dl1.misses", "dl1.reads", "dl1.writes"),
-                rate("il1.misses", "il1.reads", nullptr),
-                rate("l2.misses", "l2.reads", "l2.writes"),
-                rate("l3.misses", "l3.reads", nullptr));
-    std::printf("dram accesses: %.0f (reads %.0f writes %.0f)\n",
-                st["dram.reads"] + st["dram.writes"], st["dram.reads"],
-                st["dram.writes"]);
-    std::printf("refreshes: l1 %.0f  l2 %.0f  l3 %.0f   wb %.0f  inval "
-                "%.0f\n",
-                st["refresh.l1.line_refreshes"],
-                st["refresh.l2.line_refreshes"],
-                st["refresh.l3.line_refreshes"],
-                st["refresh.l3.refresh_writebacks"],
-                st["refresh.l3.refresh_invalidations"]);
-    std::printf("net: hops %.0f  data msgs %.0f\n", st["net.hops"],
-                st["net.data_msgs"]);
+                rate(LevelRole::DL1, true), rate(LevelRole::IL1, false),
+                rate(LevelRole::L2, true), rate(LevelRole::LLC, false));
+    const Dram &dram = sys.hierarchy().dram();
+    std::printf("dram accesses: %llu (reads %llu writes %llu)\n",
+                static_cast<unsigned long long>(dram.accesses()),
+                static_cast<unsigned long long>(dram.reads()),
+                static_cast<unsigned long long>(dram.writes()));
+    const RefreshCounts l3 = hier.levelCounts(LevelRole::LLC).refresh;
+    std::printf("refreshes: l1 %llu  l2 %llu  l3 %llu   wb %llu  inval "
+                "%llu\n",
+                static_cast<unsigned long long>(r.counts.l1Refreshes),
+                static_cast<unsigned long long>(r.counts.l2Refreshes),
+                static_cast<unsigned long long>(r.counts.l3Refreshes),
+                static_cast<unsigned long long>(l3.writebacks),
+                static_cast<unsigned long long>(l3.invalidations));
+    std::printf("net: hops %llu  data msgs %llu\n",
+                static_cast<unsigned long long>(r.counts.netHops),
+                static_cast<unsigned long long>(r.counts.netDataMsgs));
 
     const EnergyBreakdown &e = r.energy;
     std::printf("\nenergy (J): mem %.4f = l1 %.4f + l2 %.4f + l3 %.4f + "

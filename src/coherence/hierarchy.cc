@@ -47,15 +47,6 @@ struct Hierarchy::TargetAdapter : public RefreshTarget
     CacheArray &array() override { return unit.array; }
 
     void
-    refreshLines(std::uint32_t count, Tick now) override
-    {
-        (void)now;
-        // Energy is charged from the engine's line_refreshes counter;
-        // the per-unit tally feeds the thermal model's power input.
-        unit.noteRefresh(count);
-    }
-
-    void
     writebackLine(std::uint32_t idx, Tick now) override
     {
         switch (level) {
@@ -107,8 +98,8 @@ Hierarchy::Hierarchy(const MachineConfig &cfg, EventQueue &eq,
     : cfg_(cfg),
       eq_(eq),
       arena_(arena),
-      net_(cfg.torusDim, cfg.hopLatency, cfg.dataSerialization, netStats_),
-      dram_(cfg.dramLatency, cfg.dramMinGap, dramStats_)
+      net_(cfg.torusDim, cfg.hopLatency, cfg.dataSerialization),
+      dram_(cfg.dramLatency, cfg.dramMinGap)
 {
     cfg_.validate();
     llcGeom_ = cfg_.llc().geom;
@@ -139,23 +130,10 @@ Hierarchy::levelOf(LevelRole r) const
 void
 Hierarchy::buildUnits()
 {
-    // One Level per descriptor, in descriptor order; refresh stats are
-    // shared per role class (the paper reports three refresh levels).
+    // One Level per descriptor, in descriptor order.
     for (const CacheLevelSpec &spec : cfg_.levels) {
         Level lv;
         lv.spec = &spec;
-        lv.stats = std::make_unique<StatGroup>(spec.name);
-        switch (TargetAdapter::of(spec.role)) {
-          case TargetAdapter::Level::L1:
-            lv.refreshStats = &refreshL1Stats_;
-            break;
-          case TargetAdapter::Level::L2:
-            lv.refreshStats = &refreshL2Stats_;
-            break;
-          case TargetAdapter::Level::L3:
-            lv.refreshStats = &refreshL3Stats_;
-            break;
-        }
         levels_.push_back(std::move(lv));
     }
 
@@ -166,7 +144,7 @@ Hierarchy::buildUnits()
             if (lv.spec->sharing != Sharing::Private)
                 continue;
             lv.units.push_back(std::make_unique<CacheUnit>(
-                lv.spec->name, lv.spec->geom, *lv.stats, arena_));
+                lv.spec->name, lv.spec->geom, arena_));
         }
     }
     for (Level &lv : levels_) {
@@ -174,7 +152,7 @@ Hierarchy::buildUnits()
             continue;
         for (std::uint32_t b = 0; b < cfg_.numBanks; ++b) {
             lv.units.push_back(std::make_unique<CacheUnit>(
-                lv.spec->name, lv.spec->geom, *lv.stats, arena_));
+                lv.spec->name, lv.spec->geom, arena_));
         }
     }
 
@@ -205,8 +183,7 @@ Hierarchy::buildRefreshEngines()
         engines_.push_back(makeRefreshEngine(*targets_.back(),
                                              lv.spec->policy,
                                              cfg_.retention,
-                                             lv.spec->engine, eq_,
-                                             *lv.refreshStats, arena_));
+                                             lv.spec->engine, eq_, arena_));
         u.engine = engines_.back().get();
     };
 
@@ -236,9 +213,11 @@ Hierarchy::buildDecayEngines()
     auto build = [&](Level &lv, CacheUnit &u, std::uint32_t id) {
         targets_.push_back(std::make_unique<TargetAdapter>(
             *this, u, TargetAdapter::of(lv.spec->role), id, lv.spec->name));
-        engines_.push_back(std::make_unique<DecayEngine>(
-            *targets_.back(), cfg_.decay, eq_, *lv.refreshStats));
-        u.engine = engines_.back().get();
+        auto engine = std::make_unique<DecayEngine>(*targets_.back(),
+                                                    cfg_.decay, eq_);
+        lv.decay.push_back(engine.get());
+        u.engine = engine.get();
+        engines_.push_back(std::move(engine));
     };
 
     for (Level &lv : levels_) {
@@ -259,7 +238,7 @@ Hierarchy::buildThermal()
             "thermal model requires an eDRAM level (SRAM retention "
             "is not temperature-limited)");
     thermal_ = std::make_unique<ThermalDriver>(
-        cfg_.thermal, cfg_.retention.thermal, eq_, thermalStats_);
+        cfg_.thermal, cfg_.retention.thermal, eq_);
     // Every eDRAM unit is one lumped node.  Leakage and access energy
     // come from the same calibrated coefficients the end-of-run energy
     // model uses, with the Table 5.2 eDRAM leakage ratio applied.
@@ -336,14 +315,14 @@ Hierarchy::access(CoreId c, Addr a, AccessType type, Tick now,
     // ---- L1 ----
     Tick t = l1.admit(now) + l1.latency;
     if (isStore)
-        l1.noteWrite();
+        ++l1.counts.writes;
     else
-        l1.noteRead(blocks);
+        l1.counts.reads += blocks;
     CacheLine *l1Line = l1.array.lookup(a);
     if (l1Line != nullptr)
         l1.touchLine(*l1Line, t);
     else
-        l1.misses->inc();
+        ++l1.counts.misses;
 
     if (l1Line != nullptr && !isStore)
         return t; // load/fetch hit: done
@@ -352,9 +331,9 @@ Hierarchy::access(CoreId c, Addr a, AccessType type, Tick now,
     CacheUnit &l2u = *l2s_[c];
     t = l2u.admit(t) + l2u.latency;
     if (isStore)
-        l2u.noteWrite();
+        ++l2u.counts.writes;
     else
-        l2u.noteRead();
+        ++l2u.counts.reads;
     CacheLine *l2Line = l2u.array.lookup(a);
 
     if (l2Line != nullptr && !isStore) {
@@ -378,18 +357,18 @@ Hierarchy::access(CoreId c, Addr a, AccessType type, Tick now,
         // Shared: fall through to the directory for an upgrade.
     }
     if (l2Line == nullptr)
-        l2u.misses->inc();
+        ++l2u.counts.misses;
 
     // ---- LLC home bank / directory ----
     const std::uint32_t bank = bankOf(a);
     t += net_.traverse(c, bank, MsgClass::Control);
     CacheUnit &l3u = *l3s_[bank];
     t = l3u.admit(t) + l3u.latency;
-    l3u.noteRead();
+    ++l3u.counts.reads;
     CacheLine *line = l3u.array.lookup(a);
 
     if (line == nullptr) {
-        l3u.misses->inc();
+        ++l3u.counts.misses;
         line = l3MissFill(bank, a, t);
     } else {
         if (line->owner >= 0 && static_cast<CoreId>(line->owner) != c)
@@ -443,15 +422,13 @@ Hierarchy::l3MissFill(std::uint32_t bank, Addr a, Tick &t)
 {
     CacheUnit &l3u = *l3s_[bank];
     VictimRef v = l3u.array.pickVictim(a);
-    if (v.line->valid()) {
-        l3u.evictions->inc();
+    if (v.line->valid())
         dropL3Line(bank, *v.line, t);
-    }
     t = dram_.read(t);
     l3u.array.install(v, a, t, Mesi::Shared); // "valid" marker at LLC
     CacheLine &line = *v.line;
-    l3u.noteWrite(); // the fill writes the data array
-    l3u.fills->inc();
+    ++l3u.counts.writes; // the fill writes the data array
+    ++l3u.counts.fills;
     l3u.installLine(line, t);
     return &line;
 }
@@ -497,7 +474,7 @@ Hierarchy::ownerIntervention(std::uint32_t bank, CacheLine &line, Tick t,
 
     Tick lat = net_.traverse(bank, o, MsgClass::Control);
     Tick ot = ol2.admit(t + lat) + ol2.latency;
-    ol2.noteRead();
+    ++ol2.counts.reads;
 
     CacheLine *ol = ol2.array.lookup(line.tag);
     panicIf(ol == nullptr, "directory owner lost its line");
@@ -507,7 +484,7 @@ Hierarchy::ownerIntervention(std::uint32_t bank, CacheLine &line, Tick t,
         // Data flows back to the LLC (and becomes the LLC's dirty copy).
         lat = (ot - t) + net_.traverse(o, bank, MsgClass::Data);
         line.dirty = true;
-        l3u.noteWrite();
+        ++l3u.counts.writes;
     } else {
         lat = (ot - t) + net_.traverse(o, bank, MsgClass::Control);
     }
@@ -548,17 +525,17 @@ Hierarchy::invalidatePrivateCopies(CoreId c, Addr a, bool countBackInval)
     if (l2l != nullptr) {
         l2s_[c]->array.invalidate(*l2l);
         if (countBackInval)
-            l2s_[c]->backInvals->inc();
+            ++l2s_[c]->counts.backInvals;
     }
     if (CacheLine *l = dl1s_[c]->array.lookup(a)) {
         dl1s_[c]->array.invalidate(*l);
         if (countBackInval)
-            dl1s_[c]->backInvals->inc();
+            ++dl1s_[c]->counts.backInvals;
     }
     if (CacheLine *l = il1s_[c]->array.lookup(a)) {
         il1s_[c]->array.invalidate(*l);
         if (countBackInval)
-            il1s_[c]->backInvals->inc();
+            ++il1s_[c]->counts.backInvals;
     }
 }
 
@@ -567,15 +544,13 @@ Hierarchy::l2Fill(CoreId c, Addr a, Mesi st, Tick now)
 {
     CacheUnit &l2u = *l2s_[c];
     VictimRef v = l2u.array.pickVictim(a);
-    if (v.line->valid()) {
-        l2u.evictions->inc();
+    if (v.line->valid())
         evictL2Victim(c, *v.line, now);
-    }
     l2u.array.install(v, a, now, st);
     CacheLine &line = *v.line;
     line.dirty = st == Mesi::Modified;
-    l2u.noteWrite(); // fill write
-    l2u.fills->inc();
+    ++l2u.counts.writes; // fill write
+    ++l2u.counts.fills;
     l2u.installLine(line, now);
     return &line;
 }
@@ -585,12 +560,11 @@ Hierarchy::l1Fill(CacheUnit &l1, Addr a, Tick now)
 {
     if (l1.array.lookup(a) != nullptr)
         return; // e.g. a store left the line behind
+    // L1 lines are clean: a valid victim is dropped silently.
     VictimRef v = l1.array.pickVictim(a);
-    if (v.line->valid())
-        l1.evictions->inc(); // L1 lines are clean: silent drop
     l1.array.install(v, a, now, Mesi::Shared);
-    l1.noteWrite();
-    l1.fills->inc();
+    ++l1.counts.writes;
+    ++l1.counts.fills;
     l1.installLine(*v.line, now);
 }
 
@@ -608,7 +582,7 @@ Hierarchy::evictL2Victim(CoreId c, CacheLine &victim, Tick now)
         // the access refreshes the LLC line.  This is the "visibility"
         // the paper's Class 1/2 applications give the last-level cache.
         net_.traverse(c, bank, MsgClass::Data);
-        l3u.noteWrite();
+        ++l3u.counts.writes;
         l3l->dirty = true;
         l3u.touchLine(*l3l, now);
     } else {
@@ -641,7 +615,7 @@ Hierarchy::l3RefreshWriteback(std::uint32_t bank, std::uint32_t idx,
     panicIf(!line.valid() || !line.dirty,
             "refresh write-back of a non-dirty line");
     // Read the line out and post it to DRAM; it stays Valid-Clean.
-    l3u.noteRead();
+    ++l3u.counts.reads;
     dram_.write(now);
     line.dirty = false;
 }
@@ -669,7 +643,7 @@ Hierarchy::l2RefreshWriteback(CoreId c, std::uint32_t idx, Tick now)
     CacheLine *l3l = l3u.array.lookup(a);
     panicIf(l3l == nullptr, "inclusion violated on L2 refresh WB");
     net_.traverse(c, bank, MsgClass::Data);
-    l3u.noteWrite();
+    ++l3u.counts.writes;
     l3l->dirty = true;
     l3u.touchLine(*l3l, now);
     // The line stays resident, now clean: M -> E (the directory still
@@ -792,66 +766,53 @@ Hierarchy::checkInvariants(Tick now) const
     }
 }
 
-HierarchyCounts
-Hierarchy::counts() const
+LevelCounts
+Hierarchy::levelCounts(LevelRole r) const
 {
-    // Direct counter reads — no per-run string-keyed map rebuild.
-    auto get = [](const StatGroup &g, const char *k) {
-        const Counter *c = g.findCounter(k);
-        return c == nullptr ? 0ull : c->value();
-    };
-    auto getd = [](const StatGroup &g, const char *k) {
-        const Accum *a = g.findAccum(k);
-        return a == nullptr ? 0.0 : a->value();
-    };
-    const StatGroup &il1Stats = *il1L_->stats;
-    const StatGroup &dl1Stats = *dl1L_->stats;
-    const StatGroup &l2Stats = *l2L_->stats;
-    const StatGroup &l3Stats = *llcL_->stats;
-    HierarchyCounts n;
-    n.l1Reads = get(il1Stats, "reads") + get(dl1Stats, "reads");
-    n.l1Writes = get(il1Stats, "writes") + get(dl1Stats, "writes");
-    n.l2Reads = get(l2Stats, "reads");
-    n.l2Writes = get(l2Stats, "writes");
-    n.l3Reads = get(l3Stats, "reads");
-    n.l3Writes = get(l3Stats, "writes");
-    n.l1Refreshes = get(refreshL1Stats_, "line_refreshes");
-    n.l2Refreshes = get(refreshL2Stats_, "line_refreshes");
-    n.l3Refreshes = get(refreshL3Stats_, "line_refreshes");
-    n.dramAccesses = get(dramStats_, "reads") + get(dramStats_, "writes");
-    n.netHops = get(netStats_, "hops");
-    n.netDataMsgs = get(netStats_, "data_msgs");
-    n.netCtrlMsgs = get(netStats_, "ctrl_msgs");
-    n.l3Misses = get(l3Stats, "misses");
-    n.l2Misses = get(l2Stats, "misses");
-    n.dl1Misses = get(dl1Stats, "misses");
-    n.refreshWritebacks = get(refreshL1Stats_, "refresh_writebacks") +
-                          get(refreshL2Stats_, "refresh_writebacks") +
-                          get(refreshL3Stats_, "refresh_writebacks");
-    n.refreshInvalidations =
-        get(refreshL1Stats_, "refresh_invalidations") +
-        get(refreshL2Stats_, "refresh_invalidations") +
-        get(refreshL3Stats_, "refresh_invalidations");
-    n.decayedHits = get(il1Stats, "decayed_hits") +
-                    get(dl1Stats, "decayed_hits") +
-                    get(l2Stats, "decayed_hits") +
-                    get(l3Stats, "decayed_hits");
-    n.l2OffLineTicks = getd(refreshL2Stats_, "off_line_ticks");
-    n.l3OffLineTicks = getd(refreshL3Stats_, "off_line_ticks");
+    const Level &lv = levelOf(r);
+    LevelCounts n;
+    for (const auto &u : lv.units) {
+        n.access += u->counts;
+        if (u->engine != nullptr)
+            n.refresh += u->engine->counts();
+    }
+    for (const DecayEngine *d : lv.decay)
+        n.offLineTicks += d->offLineTicks();
     return n;
 }
 
-void
-Hierarchy::dumpStats(std::map<std::string, double> &out) const
+HierarchyCounts
+Hierarchy::counts() const
 {
-    for (const Level &lv : levels_)
-        lv.stats->dump(out);
-    netStats_.dump(out);
-    dramStats_.dump(out);
-    refreshL1Stats_.dump(out);
-    refreshL2Stats_.dump(out);
-    refreshL3Stats_.dump(out);
-    thermalStats_.dump(out);
+    const LevelCounts il1 = levelCounts(LevelRole::IL1);
+    const LevelCounts dl1 = levelCounts(LevelRole::DL1);
+    const LevelCounts l2 = levelCounts(LevelRole::L2);
+    const LevelCounts l3 = levelCounts(LevelRole::LLC);
+    HierarchyCounts n;
+    n.l1Reads = il1.access.reads + dl1.access.reads;
+    n.l1Writes = il1.access.writes + dl1.access.writes;
+    n.l2Reads = l2.access.reads;
+    n.l2Writes = l2.access.writes;
+    n.l3Reads = l3.access.reads;
+    n.l3Writes = l3.access.writes;
+    n.l1Refreshes = il1.refresh.lineRefreshes + dl1.refresh.lineRefreshes;
+    n.l2Refreshes = l2.refresh.lineRefreshes;
+    n.l3Refreshes = l3.refresh.lineRefreshes;
+    n.dramAccesses = dram_.accesses();
+    n.netHops = net_.totalHops();
+    n.netDataMsgs = net_.dataMessages();
+    n.netCtrlMsgs = net_.controlMessages();
+    n.l3Misses = l3.access.misses;
+    n.l2Misses = l2.access.misses;
+    n.dl1Misses = dl1.access.misses;
+    for (const LevelCounts *lv : {&il1, &dl1, &l2, &l3}) {
+        n.refreshWritebacks += lv->refresh.writebacks;
+        n.refreshInvalidations += lv->refresh.invalidations;
+        n.decayedHits += lv->access.decayedHits;
+    }
+    n.l2OffLineTicks = static_cast<double>(l2.offLineTicks);
+    n.l3OffLineTicks = static_cast<double>(l3.offLineTicks);
+    return n;
 }
 
 } // namespace refrint

@@ -32,7 +32,6 @@
 #include <vector>
 
 #include "coherence/hierarchy_config.hh"
-#include "common/stats.hh"
 #include "common/types.hh"
 #include "dram/dram.hh"
 #include "mem/cache_unit.hh"
@@ -51,7 +50,9 @@ enum class AccessType : std::uint8_t
     Fetch, ///< instruction fetch (IL1 path)
 };
 
-/** Aggregated counts the energy model consumes. */
+/** The one aggregate of the components' counters: what the energy
+ *  model, the result rows and the validator consume.  L1 sums both
+ *  L1s; refresh counts sum each level's engines. */
 struct HierarchyCounts
 {
     std::uint64_t l1Reads = 0, l1Writes = 0, l1Refreshes = 0;
@@ -66,6 +67,15 @@ struct HierarchyCounts
     /** Cache-decay comparator: integrated line-OFF time (ticks x lines)
      *  per level; zero unless decay is enabled on an SRAM machine. */
     double l2OffLineTicks = 0, l3OffLineTicks = 0;
+};
+
+/** One level's counters summed over its units and their engines. */
+struct LevelCounts
+{
+    AccessCounts access;
+    RefreshCounts refresh;
+    /** Decay comparator's integrated line-OFF time (ticks x lines). */
+    std::uint64_t offLineTicks = 0;
 };
 
 class Hierarchy
@@ -108,8 +118,8 @@ class Hierarchy
 
     HierarchyCounts counts() const;
 
-    /** Dump all named stats (tests, reporting). */
-    void dumpStats(std::map<std::string, double> &out) const;
+    /** Counters of the level playing role @p r (diagnostics, tests). */
+    LevelCounts levelCounts(LevelRole r) const;
 
     // --- component access for tests and diagnostics ---
     CacheUnit &il1(CoreId c) { return *il1s_[c]; }
@@ -155,15 +165,14 @@ class Hierarchy
                                 std::uint32_t idx, Tick now);
 
   private:
-    /** One constructed level: the descriptor it was built from, its
-     *  per-level demand StatGroup and its units (per core for private
-     *  levels, per bank for the shared LLC). */
+    /** One constructed level: the descriptor it was built from and
+     *  its units (per core for private levels, per bank for the shared
+     *  LLC), plus the decay engines on them, if any. */
     struct Level
     {
         const CacheLevelSpec *spec;
-        std::unique_ptr<StatGroup> stats;
-        StatGroup *refreshStats; ///< shared per role class (L1/L2/L3)
         std::vector<std::unique_ptr<CacheUnit>> units;
+        std::vector<const DecayEngine *> decay;
     };
 
     /** One-line helpers over the directory bitmask. */
@@ -227,10 +236,6 @@ class Hierarchy
 
     /** Refresh engines exist (the LLC is eDRAM). */
     bool refreshAtLlc_ = false;
-
-    StatGroup netStats_{"net"}, dramStats_{"dram"},
-        refreshL1Stats_{"refresh.l1"}, refreshL2Stats_{"refresh.l2"},
-        refreshL3Stats_{"refresh.l3"}, thermalStats_{"thermal"};
 
     /** Constructed levels, in descriptor order. */
     std::vector<Level> levels_;

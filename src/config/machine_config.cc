@@ -196,8 +196,9 @@ MachineConfig::scaledDown(std::uint32_t factor) const
 MachineConfig
 MachineConfig::paper(std::uint32_t cores)
 {
-    if (cores < 4 || cores > 64)
-        panic("paper machine scales to 4..64 cores (got %u)", cores);
+    if (cores < kMinCores || cores > kMaxCores)
+        panic("paper machine scales to %u..%u cores (got %u)", kMinCores,
+              kMaxCores, cores);
     MachineConfig c;
     c.numCores = cores;
     c.numBanks = cores; // one LLC bank per tile, as in Table 5.1

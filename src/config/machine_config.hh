@@ -225,6 +225,9 @@ struct MachineConfig
                                      std::uint32_t cores = 16);
 };
 
+/** Core counts the paper machine scales to (MachineConfig::paper). */
+constexpr std::uint32_t kMinCores = 4, kMaxCores = 64;
+
 /** Smallest torus dimension whose k x k tiling holds @p tiles. */
 std::uint32_t torusDimFor(std::uint32_t tiles);
 

@@ -6,7 +6,7 @@ namespace refrint
 Core::Core(CoreId id, Hierarchy &hier, EventQueue &eq,
            std::unique_ptr<CoreStream> stream, std::uint64_t targetRefs,
            std::uint32_t codeLines, std::uint64_t seed,
-           std::function<void(CoreId)> onDone, StatGroup &stats)
+           std::function<void(CoreId)> onDone)
     : id_(id),
       hier_(hier),
       eq_(eq),
@@ -16,9 +16,6 @@ Core::Core(CoreId id, Hierarchy &hier, EventQueue &eq,
       fetchPrng_(seed ^ 0x9e3779b97f4a7c15ULL, id * 2 + 1),
       onDone_(std::move(onDone))
 {
-    loads_ = &stats.counter("loads");
-    stores_ = &stats.counter("stores");
-    instrCtr_ = &stats.counter("instructions");
 }
 
 void
@@ -68,12 +65,7 @@ Core::fire(Tick now, std::uint64_t tag)
         now);
     const Tick completion = std::max(tFetch, tData);
 
-    if (ref.write)
-        stores_->inc();
-    else
-        loads_->inc();
     instrs_ += instrCount;
-    instrCtr_->inc(instrCount);
 
     ++refsIssued_;
     if (refsIssued_ >= targetRefs_) {

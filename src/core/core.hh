@@ -21,7 +21,6 @@
 
 #include "coherence/hierarchy.hh"
 #include "common/prng.hh"
-#include "common/stats.hh"
 #include "common/types.hh"
 #include "sim/event_queue.hh"
 
@@ -76,7 +75,7 @@ class Core : public EventClient
     Core(CoreId id, Hierarchy &hier, EventQueue &eq,
          std::unique_ptr<CoreStream> stream, std::uint64_t targetRefs,
          std::uint32_t codeLines, std::uint64_t seed,
-         std::function<void(CoreId)> onDone, StatGroup &stats);
+         std::function<void(CoreId)> onDone);
 
     /** Issue the first reference at @p now. */
     void start(Tick now);
@@ -107,10 +106,6 @@ class Core : public EventClient
     bool done_ = false;
     Tick doneTick_ = 0;
     MemRef pending_; ///< delayed reference awaiting its issue tick
-
-    Counter *loads_;
-    Counter *stores_;
-    Counter *instrCtr_;
 };
 
 } // namespace refrint

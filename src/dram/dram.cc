@@ -3,11 +3,9 @@
 namespace refrint
 {
 
-Dram::Dram(Tick accessLatency, Tick minGap, StatGroup &stats)
+Dram::Dram(Tick accessLatency, Tick minGap)
     : accessLatency_(accessLatency), minGap_(minGap)
 {
-    reads_ = &stats.counter("reads");
-    writes_ = &stats.counter("writes");
 }
 
 Tick
@@ -25,21 +23,21 @@ Dram::channelAdmit(Tick now)
 Tick
 Dram::read(Tick now)
 {
-    reads_->inc();
+    ++reads_;
     return channelAdmit(now) + accessLatency_;
 }
 
 Tick
 Dram::write(Tick now)
 {
-    writes_->inc();
+    ++writes_;
     return channelAdmit(now);
 }
 
 void
 Dram::accountUntimedWrite()
 {
-    writes_->inc();
+    ++writes_;
 }
 
 } // namespace refrint

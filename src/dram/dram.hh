@@ -14,7 +14,6 @@
 
 #include <cstdint>
 
-#include "common/stats.hh"
 #include "common/types.hh"
 
 namespace refrint
@@ -28,7 +27,7 @@ class Dram
      * @param minGap        Minimum cycles between successive accesses on
      *                      the channel (0 disables bandwidth modelling).
      */
-    Dram(Tick accessLatency, Tick minGap, StatGroup &stats);
+    Dram(Tick accessLatency, Tick minGap);
 
     /**
      * Perform a read of one line at @p now.
@@ -48,8 +47,8 @@ class Dram
      *  dirty data will be written back"). */
     void accountUntimedWrite();
 
-    std::uint64_t reads() const { return reads_->value(); }
-    std::uint64_t writes() const { return writes_->value(); }
+    std::uint64_t reads() const { return reads_; }
+    std::uint64_t writes() const { return writes_; }
     std::uint64_t accesses() const { return reads() + writes(); }
 
     Tick accessLatency() const { return accessLatency_; }
@@ -62,8 +61,8 @@ class Dram
     Tick minGap_;
     Tick channelFree_ = 0;
 
-    Counter *reads_;
-    Counter *writes_;
+    std::uint64_t reads_ = 0;
+    std::uint64_t writes_ = 0;
 };
 
 } // namespace refrint

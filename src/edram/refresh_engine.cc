@@ -12,7 +12,7 @@ RefreshEngine::RefreshEngine(RefreshTarget &target,
                              const RefreshPolicy &policy,
                              const RetentionParams &retention,
                              const EngineGeometry &geom, EventQueue &eq,
-                             StatGroup &stats, Arena *arena)
+                             Arena *arena)
     : target_(target), arr_(target.array()), policy_(policy), geom_(geom),
       eq_(eq),
       lineRetention_(ArenaAllocator<Tick>(arena)),
@@ -26,41 +26,35 @@ RefreshEngine::RefreshEngine(RefreshTarget &target,
     const std::vector<Tick> draws = retention.drawLineRetentions(lines);
     lineRetention_.assign(draws.begin(), draws.end());
     nominalLineRetention_.assign(draws.begin(), draws.end());
-
-    refreshes_ = &stats.counter("line_refreshes");
-    wbs_ = &stats.counter("refresh_writebacks");
-    invals_ = &stats.counter("refresh_invalidations");
-    skips_ = &stats.counter("refresh_skips");
-    visits_ = &stats.counter("refresh_visits");
 }
 
 bool
 RefreshEngine::visitLine(std::uint32_t idx, Tick now)
 {
     CacheLine &line = arr_.lineAt(idx);
-    visits_->inc();
+    ++counts_.visits;
     const RefreshAction action = decideRefresh(policy_, line);
     switch (action) {
       case RefreshAction::Refresh:
-        refreshes_->inc();
+        ++counts_.lineRefreshes;
         renewClocks(idx, line, now);
         return true;
 
       case RefreshAction::Writeback:
         // The write-back reads the line out, which refreshes its cells;
         // it stays resident as Valid-Clean (Fig. 4.1).
-        wbs_->inc();
+        ++counts_.writebacks;
         target_.writebackLine(idx, now);
         renewClocks(idx, line, now);
         return true;
 
       case RefreshAction::Invalidate:
-        invals_->inc();
+        ++counts_.invalidations;
         target_.invalidateLine(idx, now);
         return false;
 
       case RefreshAction::Skip:
-        skips_->inc();
+        ++counts_.skips;
         return false;
     }
     panic("unreachable refresh action");
@@ -80,11 +74,11 @@ rescaleStamp(Tick t, Tick now, double rho)
 
 } // namespace
 
-bool
+void
 RefreshEngine::setRetentionScale(double factor, Tick now)
 {
     if (!supportsRetentionScaling())
-        return false;
+        return;
     panicIf(!(factor > 0.0), "retention scale factor must be positive");
 
     Tick newCell =
@@ -105,7 +99,7 @@ RefreshEngine::setRetentionScale(double factor, Tick now)
     }
     scale_ = factor;
     if (newCell == cellRetention_)
-        return false;
+        return;
 
     const double rho = static_cast<double>(newCell) /
                        static_cast<double>(cellRetention_);
@@ -128,7 +122,6 @@ RefreshEngine::setRetentionScale(double factor, Tick now)
             sentryMirror_[idx] = rescaleStamp(sentryMirror_[idx], now, rho);
     });
     onRetentionRescaled(rho, now);
-    return true;
 }
 
 // ---------------------------------------------------------------------
@@ -139,8 +132,8 @@ PeriodicEngine::PeriodicEngine(RefreshTarget &target,
                                const RefreshPolicy &policy,
                                const RetentionParams &retention,
                                const EngineGeometry &geom, EventQueue &eq,
-                               StatGroup &stats, Arena *arena)
-    : RefreshEngine(target, policy, retention, geom, eq, stats, arena),
+                               Arena *arena)
+    : RefreshEngine(target, policy, retention, geom, eq, arena),
       burstNext_(ArenaAllocator<Tick>(arena)),
       burstEvents_(ArenaAllocator<EventHandle>(arena))
 {
@@ -168,7 +161,6 @@ PeriodicEngine::PeriodicEngine(RefreshTarget &target,
     numBursts_ = (lines + linesPerBurst_ - 1) / linesPerBurst_;
     burstNext_.assign(numBursts_, 0);
     burstEvents_.assign(numBursts_, EventHandle{});
-    bursts_ = &stats.counter("periodic_bursts");
 }
 
 void
@@ -193,20 +185,19 @@ PeriodicEngine::fire(Tick now, std::uint64_t tag)
     const std::uint32_t lo = k * linesPerBurst_;
     const std::uint32_t hi = std::min(lines, lo + linesPerBurst_);
 
-    const std::uint64_t before = refreshes_->value();
     std::uint32_t serviced = 0;
     if (policy_.data == DataPolicy::All) {
         // Under All every visit is a refresh, so the whole burst reduces
         // to counter charges plus the per-line clock re-stamp.
         serviced = hi - lo;
-        visits_->inc(serviced);
-        refreshes_->inc(serviced);
+        counts_.visits += serviced;
+        counts_.lineRefreshes += serviced;
         for (std::uint32_t idx = lo; idx < hi; ++idx)
             renewClocks(idx, arr_.lineAt(idx), now);
     } else if (policy_.data == DataPolicy::Valid) {
         // Valid refreshes exactly the probe-valid lines and skips the
         // rest; no action ever mutates line state.
-        visits_->inc(hi - lo);
+        counts_.visits += hi - lo;
         const Addr *probe = arr_.probeData();
         for (std::uint32_t idx = lo; idx < hi; ++idx) {
             if (probe[idx] != 0) {
@@ -214,8 +205,8 @@ PeriodicEngine::fire(Tick now, std::uint64_t tag)
                 ++serviced;
             }
         }
-        refreshes_->inc(serviced);
-        skips_->inc((hi - lo) - serviced);
+        counts_.lineRefreshes += serviced;
+        counts_.skips += (hi - lo) - serviced;
     } else {
         // Invalidated/skipped lines still occupy the pipeline for their
         // tag+state read, but that is off the data array; only lines
@@ -225,8 +216,6 @@ PeriodicEngine::fire(Tick now, std::uint64_t tag)
                 ++serviced;
         }
     }
-    chargeRefreshes(before, now);
-    bursts_->inc();
     // The bank is unavailable while the burst streams through the data
     // array, one line per cycle (Table 5.2: refresh time = access time).
     if (serviced > 0)
@@ -263,8 +252,8 @@ RefrintEngine::RefrintEngine(RefreshTarget &target,
                              const RefreshPolicy &policy,
                              const RetentionParams &retention,
                              const EngineGeometry &geom, EventQueue &eq,
-                             StatGroup &stats, Arena *arena)
-    : RefreshEngine(target, policy, retention, geom, eq, stats, arena),
+                             Arena *arena)
+    : RefreshEngine(target, policy, retention, geom, eq, arena),
       heap_(arena), sentryM_(ArenaAllocator<Tick>(arena)),
       ghosts_(ArenaAllocator<Tick>(arena))
 {
@@ -276,7 +265,6 @@ RefrintEngine::RefrintEngine(RefreshTarget &target,
     heap_.reset(numGroups_);
     sentryM_.assign(lines, kTickNever);
     sentryMirror_ = sentryM_.data();
-    interrupts_ = &stats.counter("sentry_interrupts");
 }
 
 // Indexed 16-ary min-heap over armed groups -------------------------------
@@ -504,13 +492,18 @@ RefrintEngine::maybeSchedule()
 }
 
 void
-RefrintEngine::onRetentionRescaled(double, Tick)
+RefrintEngine::onRetentionRescaled(double, Tick now)
 {
     // Line sentry expiries were just re-stamped; re-key every armed
     // group to its new deadline in place.  The superseded deadline is
     // kept as a ghost wake time so the engine's kernel wake schedule
     // (and with it every later event's tie-break position) matches the
     // historical duplicate-entry heap tick for tick.
+    //
+    // A group's fresh deadline can already lie before now: the heap is
+    // lazy, so a line installed into an armed group may carry a sentry
+    // earlier than the group's key.  That group is due; it is serviced
+    // at now rather than scheduled in the past.
     for (std::uint32_t g = 0; g < numGroups_; ++g) {
         if (!heap_.contains(g))
             continue;
@@ -521,7 +514,7 @@ RefrintEngine::onRetentionRescaled(double, Tick)
         if (dl == kTickNever)
             heap_.remove(g);
         else
-            armGroup(g, dl);
+            armGroup(g, std::max(dl, now));
     }
     scheduledAt_ = kTickNever;
     maybeSchedule();
@@ -559,13 +552,11 @@ RefrintEngine::fire(Tick now, std::uint64_t)
 
         // Genuine sentry interrupt: service every line in the group in
         // a pipelined fashion (§4.2), with priority over plain R/W.
-        interrupts_->inc();
         const std::uint32_t lo = groupBase(g);
         const std::uint32_t hi =
             std::min(arr.numLines(), lo + geom_.sentryGroupSize);
         const bool all = policy_.data == DataPolicy::All;
         const Addr *probe = arr.probeData();
-        const std::uint64_t before = refreshes_->value();
         std::uint32_t serviced = 0;
         Tick next = kTickNever;
         if (all || policy_.data == DataPolicy::Valid) {
@@ -582,8 +573,8 @@ RefrintEngine::fire(Tick now, std::uint64_t)
                     next = sentryM_[idx];
                 ++serviced;
             }
-            visits_->inc(serviced);
-            refreshes_->inc(serviced);
+            counts_.visits += serviced;
+            counts_.lineRefreshes += serviced;
         } else {
             for (std::uint32_t idx = lo; idx < hi; ++idx) {
                 if (probe[idx] == 0)
@@ -593,7 +584,6 @@ RefrintEngine::fire(Tick now, std::uint64_t)
             }
             next = groupDeadline(g);
         }
-        chargeRefreshes(before, now);
         if (serviced > 0)
             target_.addBusy(now, serviced);
 
@@ -611,20 +601,19 @@ std::unique_ptr<RefreshEngine>
 makeRefreshEngine(RefreshTarget &target, const RefreshPolicy &policy,
                   const RetentionParams &retention,
                   const EngineGeometry &geom, EventQueue &eq,
-                  StatGroup &stats, Arena *arena)
+                  Arena *arena)
 {
     switch (policy.time) {
       case TimePolicy::Periodic:
         return std::make_unique<PeriodicEngine>(target, policy, retention,
-                                                geom, eq, stats, arena);
+                                                geom, eq, arena);
       case TimePolicy::Refrint:
         return std::make_unique<RefrintEngine>(target, policy, retention,
-                                               geom, eq, stats, arena);
+                                               geom, eq, arena);
       case TimePolicy::SmartRefresh:
         // The comparator engine is rarely on a sweep's hot path; it
         // keeps plain heap storage (arena not threaded through).
-        return makeSmartRefreshEngine(target, policy, retention, geom, eq,
-                                      stats);
+        return makeSmartRefreshEngine(target, policy, retention, geom, eq);
     }
     panic("unreachable time policy");
 }

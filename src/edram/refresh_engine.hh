@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "common/arena.hh"
-#include "common/stats.hh"
 #include "common/types.hh"
 #include "edram/refresh_policy.hh"
 #include "edram/retention.hh"
@@ -38,12 +37,9 @@ namespace refrint
 /**
  * What a refresh engine needs from the cache it manages.  The cache
  * level (via the coherence hierarchy) implements the heavyweight
- * actions; the engine only makes decisions and keeps the clocks.
- *
- * Plain refreshes are charged in bulk: the engine's data policy alone
- * picks its service loop (all/valid renew clocks in a tight loop,
- * dirty/WB run the per-line Fig. 4.1 decision), and either loop ends
- * in one refreshLines() charge per burst, interrupt or phase.
+ * actions; the engine only makes decisions, keeps the clocks and counts
+ * what it did (RefreshCounts).  A plain refresh needs nothing from the
+ * target beyond the bank time of its burst, interrupt or phase.
  */
 class RefreshTarget
 {
@@ -51,9 +47,6 @@ class RefreshTarget
     virtual ~RefreshTarget() = default;
 
     virtual CacheArray &array() = 0;
-
-    /** Charge @p count (> 0) line refreshes serviced at @p now. */
-    virtual void refreshLines(std::uint32_t count, Tick now) = 0;
 
     /** Write the (dirty) line back to the next level; make it clean. */
     virtual void writebackLine(std::uint32_t idx, Tick now) = 0;
@@ -98,6 +91,33 @@ enum class EngineKind : std::uint8_t
     Refrint,
 };
 
+/**
+ * Deadline-visit outcomes one engine counts.  Every visit ends in
+ * exactly one outcome, so for the refresh engines (Periodic, Refrint,
+ * SmartRefresh) visits == lineRefreshes + writebacks + invalidations +
+ * skips.  The decay comparator counts its gate-offs as invalidations
+ * and makes no visits.
+ */
+struct RefreshCounts
+{
+    std::uint64_t visits = 0;
+    std::uint64_t lineRefreshes = 0;
+    std::uint64_t writebacks = 0;    ///< refresh-triggered write-backs
+    std::uint64_t invalidations = 0; ///< refresh-triggered invalidations
+    std::uint64_t skips = 0;         ///< visits that did nothing
+
+    RefreshCounts &
+    operator+=(const RefreshCounts &o)
+    {
+        visits += o.visits;
+        lineRefreshes += o.lineRefreshes;
+        writebacks += o.writebacks;
+        invalidations += o.invalidations;
+        skips += o.skips;
+        return *this;
+    }
+};
+
 /** Common interface + bookkeeping shared by the two engines. */
 class RefreshEngine : public EventClient
 {
@@ -108,7 +128,7 @@ class RefreshEngine : public EventClient
     RefreshEngine(RefreshTarget &target, const RefreshPolicy &policy,
                   const RetentionParams &retention,
                   const EngineGeometry &geom, EventQueue &eq,
-                  StatGroup &stats, Arena *arena = nullptr);
+                  Arena *arena = nullptr);
     ~RefreshEngine() override = default;
 
     RefreshEngine(const RefreshEngine &) = delete;
@@ -151,10 +171,8 @@ class RefreshEngine : public EventClient
      * The effective retention is floored at twice the sentry margin so
      * a pathological temperature can never consume the entire period.
      * No-op on engines that do not support scaling.
-     *
-     * @return true if the effective retention actually changed.
      */
-    bool setRetentionScale(double factor, Tick now);
+    void setRetentionScale(double factor, Tick now);
 
     /** Current retention scale factor actually applied (1.0 nominal). */
     double retentionScale() const { return scale_; }
@@ -167,25 +185,14 @@ class RefreshEngine : public EventClient
     /** Concrete kind for devirtualized hot-path dispatch. */
     EngineKind kind() const { return kind_; }
 
-    std::uint64_t lineRefreshes() const { return refreshes_->value(); }
-    std::uint64_t writebacks() const { return wbs_->value(); }
-    std::uint64_t invalidations() const { return invals_->value(); }
+    const RefreshCounts &counts() const { return counts_; }
+    std::uint64_t lineRefreshes() const { return counts_.lineRefreshes; }
 
   protected:
-    /** Run the Fig. 4.1 decision for @p idx and apply the outcome; a
-     *  plain refresh is only counted (see chargeRefreshes).
+    /** Run the Fig. 4.1 decision for @p idx, apply and count the
+     *  outcome.
      *  @return true if the line remains alive (was refreshed / WB'd). */
     bool visitLine(std::uint32_t idx, Tick now);
-
-    /** Charge the target for the line refreshes counted since the
-     *  counter read @p before: one call per burst, interrupt or phase. */
-    void
-    chargeRefreshes(std::uint64_t before, Tick now)
-    {
-        const std::uint64_t n = refreshes_->value() - before;
-        if (n > 0)
-            target_.refreshLines(static_cast<std::uint32_t>(n), now);
-    }
 
     /** Line @p idx's own data retention (per-line under variation). */
     Tick
@@ -254,11 +261,7 @@ class RefreshEngine : public EventClient
     ArenaVector<Tick> lineRetention_;
     ArenaVector<Tick> nominalLineRetention_;
 
-    Counter *refreshes_; ///< individual line refreshes performed
-    Counter *wbs_;       ///< refresh-triggered write-backs
-    Counter *invals_;    ///< refresh-triggered invalidations
-    Counter *skips_;     ///< deadline visits that did nothing
-    Counter *visits_;    ///< total line visits at deadlines
+    RefreshCounts counts_;
 };
 
 /** Trivial periodic time policy (baseline, Table 3.1). */
@@ -268,7 +271,7 @@ class PeriodicEngine : public RefreshEngine
     PeriodicEngine(RefreshTarget &target, const RefreshPolicy &policy,
                    const RetentionParams &retention,
                    const EngineGeometry &geom, EventQueue &eq,
-                   StatGroup &stats, Arena *arena = nullptr);
+                   Arena *arena = nullptr);
 
     void start(Tick now) override;
 
@@ -309,8 +312,6 @@ class PeriodicEngine : public RefreshEngine
     ArenaVector<Tick> burstNext_;  ///< next firing time per burst
     ArenaVector<EventHandle> burstEvents_; ///< live event per burst
     bool started_ = false;
-
-    Counter *bursts_;
 };
 
 /** Refrint sentry-interrupt time policy (the paper's proposal). */
@@ -320,7 +321,7 @@ class RefrintEngine : public RefreshEngine
     RefrintEngine(RefreshTarget &target, const RefreshPolicy &policy,
                   const RetentionParams &retention,
                   const EngineGeometry &geom, EventQueue &eq,
-                  StatGroup &stats, Arena *arena = nullptr);
+                  Arena *arena = nullptr);
 
     void start(Tick now) override;
 
@@ -456,8 +457,6 @@ class RefrintEngine : public RefreshEngine
      * Empty in isothermal runs.
      */
     ArenaVector<Tick> ghosts_;
-
-    Counter *interrupts_; ///< sentry interrupts serviced (groups)
 };
 
 /** Factory covering every timing policy (including the SmartRefresh
@@ -466,15 +465,14 @@ std::unique_ptr<RefreshEngine>
 makeRefreshEngine(RefreshTarget &target, const RefreshPolicy &policy,
                   const RetentionParams &retention,
                   const EngineGeometry &geom, EventQueue &eq,
-                  StatGroup &stats, Arena *arena = nullptr);
+                  Arena *arena = nullptr);
 
 /** Implemented in related/smart_refresh.cc; kept behind a factory so
  *  the edram module does not include related/ headers. */
 std::unique_ptr<RefreshEngine>
 makeSmartRefreshEngine(RefreshTarget &target, const RefreshPolicy &policy,
                        const RetentionParams &retention,
-                       const EngineGeometry &geom, EventQueue &eq,
-                       StatGroup &stats);
+                       const EngineGeometry &geom, EventQueue &eq);
 
 } // namespace refrint
 

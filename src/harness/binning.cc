@@ -1,6 +1,5 @@
 #include "harness/binning.hh"
 
-#include <map>
 #include <unordered_set>
 
 #include "harness/runner.hh"
@@ -45,14 +44,12 @@ measureBinning(const Workload &app, const BinningThresholds &thr,
     sim.refsPerCore = thr.visibilityRefs;
     CmpSystem sys(sramCfg, app, sim);
     sys.run();
-    std::map<std::string, double> stats;
-    sys.hierarchy().dumpStats(stats);
     // LLC data writes that are not fills are dirty write-backs and
     // owner interventions — exactly the activity the LLC can "see"
-    // (§3.3).  Stat keys derive from the LLC descriptor's name.
-    const std::string llcName = cfg.llc().name;
-    const double wb =
-        stats[llcName + ".writes"] - stats[llcName + ".fills"];
+    // (§3.3).
+    const AccessCounts llc =
+        sys.hierarchy().levelCounts(LevelRole::LLC).access;
+    const double wb = static_cast<double>(llc.writes - llc.fills);
     const double kiloInstr =
         static_cast<double>(sys.totalInstructions()) / 1000.0;
     m.writebacksPerKiloInstr = kiloInstr > 0 ? wb / kiloInstr : 0.0;

@@ -1,8 +1,8 @@
 /**
  * @file
  * CacheUnit: one physical cache (an L1, a private L2, or one L3 bank)
- * — the tag/state array plus port availability, access counters and the
- * optional eDRAM refresh engine attached to it.
+ * — the tag/state array plus port availability, the unit's own event
+ * counts and the optional eDRAM refresh engine attached to it.
  */
 
 #ifndef REFRINT_MEM_CACHE_UNIT_HH
@@ -11,7 +11,6 @@
 #include <algorithm>
 #include <memory>
 
-#include "common/stats.hh"
 #include "common/types.hh"
 #include "edram/refresh_engine.hh"
 #include "mem/cache_array.hh"
@@ -22,27 +21,42 @@ namespace refrint
 /** Hierarchy-walk lookahead tolerated by the decay check (touchLine). */
 constexpr Tick kWalkLookaheadSlack = 256;
 
+/** Demand-side events one cache unit counts.  Hierarchy::counts()
+ *  sums them per level (the paper reports per-level energy); the
+ *  thermal driver samples reads + writes of its own unit per epoch. */
+struct AccessCounts
+{
+    std::uint64_t reads = 0;  ///< array reads (fetch blocks on an IL1)
+    std::uint64_t writes = 0; ///< array writes, fills included
+    std::uint64_t misses = 0;
+    std::uint64_t fills = 0;
+    std::uint64_t backInvals = 0; ///< copies dropped for inclusion
+    /** Accesses that found a line past its data retention — must stay
+     *  0; a nonzero value indicates a refresh-engine bug. */
+    std::uint64_t decayedHits = 0;
+
+    AccessCounts &
+    operator+=(const AccessCounts &o)
+    {
+        reads += o.reads;
+        writes += o.writes;
+        misses += o.misses;
+        fills += o.fills;
+        backInvals += o.backInvals;
+        decayedHits += o.decayedHits;
+        return *this;
+    }
+};
+
 class CacheUnit
 {
   public:
-    /**
-     * @param stats  Shared per-level stat group: all units of a level
-     *               aggregate into the same counters (the paper reports
-     *               per-level energy, never per-unit).
-     * @param arena  Optional recycled backing store for the tag/probe
-     *               arrays (sweep workers; see common/arena.hh).
-     */
+    /** @p arena: optional recycled backing store for the tag/probe
+     *  arrays (sweep workers; see common/arena.hh). */
     CacheUnit(const char *name, const CacheGeometry &geom,
-              StatGroup &stats, Arena *arena = nullptr)
+              Arena *arena = nullptr)
         : array(geom, name, arena), latency(geom.latency)
     {
-        reads = &stats.counter("reads");
-        writes = &stats.counter("writes");
-        misses = &stats.counter("misses");
-        fills = &stats.counter("fills");
-        evictions = &stats.counter("evictions");
-        backInvals = &stats.counter("back_invalidations");
-        decayed = &stats.counter("decayed_hits");
     }
 
     CacheUnit(const CacheUnit &) = delete;
@@ -76,7 +90,7 @@ class CacheUnit
         // comparator); the addition would wrap on it.
         if (engine != nullptr && line.dataExpiry != kTickNever &&
             line.dataExpiry + kWalkLookaheadSlack < now)
-            decayed->inc();
+            ++counts.decayedHits;
         array.touch(line, now);
         if (engine != nullptr)
             notifyAccess(array.indexOf(&line), now);
@@ -90,32 +104,6 @@ class CacheUnit
         if (engine != nullptr)
             notifyInstall(array.indexOf(&line), now);
     }
-
-    // Per-unit activity taps.  The shared per-level StatGroup counters
-    // aggregate across all units of a level (the paper reports
-    // per-level energy), but the thermal model needs *this* unit's
-    // activity — so reads/writes are counted through these wrappers,
-    // which also bump a local tally the thermal driver samples per
-    // epoch.  Plain uint64 adds: zero cost when thermal is off.
-
-    /** Count @p n array reads on this unit. */
-    void
-    noteRead(std::uint64_t n = 1)
-    {
-        reads->inc(n);
-        accessTally += n;
-    }
-
-    /** Count one array write on this unit. */
-    void
-    noteWrite()
-    {
-        writes->inc();
-        accessTally += 1;
-    }
-
-    /** Count @p n refresh-engine line refreshes on this unit. */
-    void noteRefresh(std::uint64_t n = 1) { refreshTally += n; }
 
     /** Engine callback on a demand access, devirtualized for the two
      *  concrete engine kinds (qualified calls compile to direct,
@@ -164,19 +152,7 @@ class CacheUnit
     /** Refresh engine for eDRAM configurations; null for SRAM. */
     RefreshEngine *engine = nullptr;
 
-    /** Per-unit activity tallies (thermal model power integration). */
-    std::uint64_t accessTally = 0;
-    std::uint64_t refreshTally = 0;
-
-    Counter *reads;
-    Counter *writes;
-    Counter *misses;
-    Counter *fills;
-    Counter *evictions;
-    Counter *backInvals;
-    /** Accesses that found a line past its data retention — must stay 0;
-     *  a nonzero value indicates a refresh-engine bug. */
-    Counter *decayed;
+    AccessCounts counts;
 };
 
 } // namespace refrint

@@ -4,7 +4,7 @@ namespace refrint
 {
 
 TorusNetwork::TorusNetwork(std::uint32_t dim, Tick hopLatency,
-                           Tick dataSerial, StatGroup &stats)
+                           Tick dataSerial)
     : dim_(dim), hopLatency_(hopLatency), dataSerial_(dataSerial)
 {
     panicIf(dim == 0, "torus dimension must be positive");
@@ -18,9 +18,6 @@ TorusNetwork::TorusNetwork(std::uint32_t dim, Tick hopLatency,
                 axisHops(sx, dx) + axisHops(sy, dy));
         }
     }
-    ctrlMsgs_ = &stats.counter("ctrl_msgs");
-    dataMsgs_ = &stats.counter("data_msgs");
-    hopsCtr_ = &stats.counter("hops");
 }
 
 Tick

@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "common/log.hh"
-#include "common/stats.hh"
 #include "common/types.hh"
 
 namespace refrint
@@ -39,8 +38,7 @@ class TorusNetwork
      * @param hopLatency   Cycles per router+link traversal.
      * @param dataSerial   Extra serialization cycles for a data message.
      */
-    TorusNetwork(std::uint32_t dim, Tick hopLatency, Tick dataSerial,
-                 StatGroup &stats);
+    TorusNetwork(std::uint32_t dim, Tick hopLatency, Tick dataSerial);
 
     std::uint32_t dim() const { return dim_; }
     std::uint32_t numNodes() const { return dim_ * dim_; }
@@ -74,10 +72,10 @@ class TorusNetwork
     {
         const std::uint32_t h = hops(src, dst);
         if (cls == MsgClass::Data)
-            dataMsgs_->inc();
+            ++dataMsgs_;
         else
-            ctrlMsgs_->inc();
-        hopsCtr_->inc(h);
+            ++ctrlMsgs_;
+        hops_ += h;
         Tick lat = static_cast<Tick>(h) * hopLatency_;
         if (cls == MsgClass::Data)
             lat += dataSerial_;
@@ -88,12 +86,10 @@ class TorusNetwork
     Tick latencyOf(std::uint32_t src, std::uint32_t dst,
                    MsgClass cls) const;
 
-    std::uint64_t totalHops() const { return hopsCtr_->value(); }
-    std::uint64_t totalMessages() const
-    {
-        return ctrlMsgs_->value() + dataMsgs_->value();
-    }
-    std::uint64_t dataMessages() const { return dataMsgs_->value(); }
+    std::uint64_t totalHops() const { return hops_; }
+    std::uint64_t totalMessages() const { return ctrlMsgs_ + dataMsgs_; }
+    std::uint64_t dataMessages() const { return dataMsgs_; }
+    std::uint64_t controlMessages() const { return ctrlMsgs_; }
 
   private:
     std::uint32_t dim_;
@@ -103,9 +99,9 @@ class TorusNetwork
     /** Precomputed dimension-order hop counts, numNodes x numNodes. */
     std::vector<std::uint8_t> hopTable_;
 
-    Counter *ctrlMsgs_;
-    Counter *dataMsgs_;
-    Counter *hopsCtr_;
+    std::uint64_t ctrlMsgs_ = 0;
+    std::uint64_t dataMsgs_ = 0;
+    std::uint64_t hops_ = 0;
 };
 
 } // namespace refrint

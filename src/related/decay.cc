@@ -20,17 +20,14 @@ decayRetention(const DecayConfig &cfg)
 } // namespace
 
 DecayEngine::DecayEngine(RefreshTarget &target, const DecayConfig &cfg,
-                         EventQueue &eq, StatGroup &stats)
+                         EventQueue &eq)
     : RefreshEngine(target, RefreshPolicy::refrint(DataPolicy::Valid),
-                    decayRetention(cfg), EngineGeometry{}, eq, stats),
+                    decayRetention(cfg), EngineGeometry{}, eq),
       cfg_(cfg)
 {
     panicIf(cfg_.scanDiv == 0, "decay scan divisor must be positive");
     scanPeriod_ = std::max<Tick>(1, cfg_.interval / cfg_.scanDiv);
     offSince_.assign(target.array().numLines(), kTickNever);
-    offTicks_ = &stats.accum("off_line_ticks");
-    decays_ = &stats.counter("decay_gateoffs");
-    scans_ = &stats.counter("decay_scans");
 }
 
 void
@@ -47,7 +44,7 @@ void
 DecayEngine::onInstall(std::uint32_t idx, Tick now)
 {
     if (offSince_[idx] != kTickNever) {
-        offTicks_->add(static_cast<double>(now - offSince_[idx]));
+        offLineTicks_ += now - offSince_[idx];
         offSince_[idx] = kTickNever;
     }
     // SRAM data never expires; keep the retention clocks inert so the
@@ -68,7 +65,7 @@ DecayEngine::finish(Tick now)
 {
     for (std::size_t idx = 0; idx < offSince_.size(); ++idx) {
         if (offSince_[idx] != kTickNever) {
-            offTicks_->add(static_cast<double>(now - offSince_[idx]));
+            offLineTicks_ += now - offSince_[idx];
             offSince_[idx] = now; // idempotent wrt. repeated finish()
         }
     }
@@ -88,12 +85,10 @@ DecayEngine::fire(Tick now, std::uint64_t)
         // Idle past the decay interval: write back if dirty (the
         // adapter routes through the hierarchy, rescuing Modified
         // owners), then gate the line off.
-        invals_->inc();
-        decays_->inc();
+        ++counts_.invalidations;
         target_.invalidateLine(idx, now);
         offSince_[idx] = now;
     }
-    scans_->inc();
     eq_.schedule(now + scanPeriod_, this, 0);
 }
 

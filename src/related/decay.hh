@@ -14,8 +14,8 @@
  * granularity (interval / scanDiv, modelling the hierarchical 2-level
  * counters of the original paper), invalidates idle lines through the
  * hierarchy's RefreshTarget adapter (so inclusion and the directory stay
- * exact), and integrates per-line OFF time into the `off_line_ticks`
- * accumulator that the energy model uses to discount leakage.
+ * exact), and integrates per-line OFF time (offLineTicks()) that the
+ * energy model uses to discount leakage.
  */
 
 #ifndef REFRINT_RELATED_DECAY_HH
@@ -51,7 +51,7 @@ class DecayEngine : public RefreshEngine
 {
   public:
     DecayEngine(RefreshTarget &target, const DecayConfig &cfg,
-                EventQueue &eq, StatGroup &stats);
+                EventQueue &eq);
 
     void start(Tick now) override;
     void onInstall(std::uint32_t idx, Tick now) override;
@@ -60,8 +60,9 @@ class DecayEngine : public RefreshEngine
 
     void fire(Tick now, std::uint64_t tag) override;
 
-    /** Accumulated line-OFF time so far (ticks x lines). */
-    double offLineTicks() const { return offTicks_->value(); }
+    /** Accumulated line-OFF time so far (ticks x lines).  A sum of
+     *  integer tick spans, so exact in 64 bits. */
+    std::uint64_t offLineTicks() const { return offLineTicks_; }
 
   private:
     DecayConfig cfg_;
@@ -70,9 +71,7 @@ class DecayEngine : public RefreshEngine
     /** Gate-off tick per line; kTickNever while the line is powered. */
     std::vector<Tick> offSince_;
 
-    Accum *offTicks_;
-    Counter *decays_;
-    Counter *scans_;
+    std::uint64_t offLineTicks_ = 0;
 };
 
 } // namespace refrint

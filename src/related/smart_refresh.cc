@@ -9,16 +9,15 @@ SmartRefreshEngine::SmartRefreshEngine(RefreshTarget &target,
                                        const RefreshPolicy &policy,
                                        const RetentionParams &retention,
                                        const EngineGeometry &geom,
-                                       EventQueue &eq, StatGroup &stats,
+                                       EventQueue &eq,
                                        std::uint32_t counterBits)
-    : RefreshEngine(target, policy, retention, geom, eq, stats)
+    : RefreshEngine(target, policy, retention, geom, eq)
 {
     panicIf(counterBits == 0 || counterBits > 16,
             "SmartRefresh counter width out of range");
     numPhases_ = 1u << counterBits;
     phaseLen_ = cellRetention_ / numPhases_;
     panicIf(phaseLen_ == 0, "retention shorter than the phase clock");
-    phaseScans_ = &stats.counter("smart_phase_scans");
 }
 
 void
@@ -67,7 +66,6 @@ SmartRefreshEngine::fire(Tick now, std::uint64_t)
     const std::uint32_t lines = arr.numLines();
     const Tick horizon = now + phaseLen_;
 
-    const std::uint64_t before = refreshes_->value();
     std::uint32_t serviced = 0;
     for (std::uint32_t idx = 0; idx < lines; ++idx) {
         CacheLine &line = arr.lineAt(idx);
@@ -78,8 +76,6 @@ SmartRefreshEngine::fire(Tick now, std::uint64_t)
         if (visitLine(idx, now))
             ++serviced;
     }
-    chargeRefreshes(before, now);
-    phaseScans_->inc();
     if (serviced > 0)
         target_.addBusy(now, serviced);
     eq_.schedule(now + phaseLen_, this, 0);
@@ -88,12 +84,10 @@ SmartRefreshEngine::fire(Tick now, std::uint64_t)
 std::unique_ptr<RefreshEngine>
 makeSmartRefreshEngine(RefreshTarget &target, const RefreshPolicy &policy,
                        const RetentionParams &retention,
-                       const EngineGeometry &geom, EventQueue &eq,
-                       StatGroup &stats)
+                       const EngineGeometry &geom, EventQueue &eq)
 {
     return std::make_unique<SmartRefreshEngine>(
-        target, policy, retention, geom, eq, stats,
-        geom.smartCounterBits);
+        target, policy, retention, geom, eq, geom.smartCounterBits);
 }
 
 } // namespace refrint

@@ -39,7 +39,7 @@ class SmartRefreshEngine : public RefreshEngine
     SmartRefreshEngine(RefreshTarget &target, const RefreshPolicy &policy,
                        const RetentionParams &retention,
                        const EngineGeometry &geom, EventQueue &eq,
-                       StatGroup &stats, std::uint32_t counterBits = 3);
+                       std::uint32_t counterBits = 3);
 
     void start(Tick now) override;
     void onInstall(std::uint32_t idx, Tick now) override;
@@ -60,8 +60,6 @@ class SmartRefreshEngine : public RefreshEngine
 
     std::uint32_t numPhases_;
     Tick phaseLen_;
-
-    Counter *phaseScans_; ///< phase-boundary counter scans performed
 };
 
 } // namespace refrint

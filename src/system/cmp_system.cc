@@ -14,7 +14,7 @@ CmpSystem::CmpSystem(const MachineConfig &cfg, const Workload &app,
         cores_.push_back(std::make_unique<Core>(
             c, *hier_, eq_, app.makeStream(c, cfg.numCores, params.seed),
             params.refsPerCore, app.codeLines(), params.seed,
-            [this](CoreId) { ++doneCount_; }, coreStats_));
+            [this](CoreId) { ++doneCount_; }));
     }
 }
 

@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "coherence/hierarchy.hh"
-#include "common/stats.hh"
 #include "core/core.hh"
 #include "sim/event_queue.hh"
 #include "workload/workload.hh"
@@ -68,7 +67,6 @@ class CmpSystem
   private:
     EventQueue eq_;
     std::unique_ptr<Hierarchy> hier_;
-    StatGroup coreStats_{"core"};
     std::vector<std::unique_ptr<Core>> cores_;
     SimParams params_;
     std::uint32_t doneCount_ = 0;

@@ -8,9 +8,25 @@
 namespace refrint
 {
 
+namespace
+{
+
+/** Line events of @p u so far: its array reads and writes plus its
+ *  engine's line refreshes.  An engine services a whole burst or
+ *  interrupt in one kernel event, so an epoch never sees a burst half
+ *  counted. */
+std::uint64_t
+lineEventsOf(const CacheUnit &u)
+{
+    return u.counts.reads + u.counts.writes +
+           (u.engine != nullptr ? u.engine->lineRefreshes() : 0);
+}
+
+} // namespace
+
 ThermalDriver::ThermalDriver(const ThermalParams &params,
                              const ThermalResponse &response,
-                             EventQueue &eq, StatGroup &stats)
+                             EventQueue &eq)
     : params_(params), response_(response), eq_(eq),
       maxTempC_(params.ambientC)
 {
@@ -28,10 +44,6 @@ ThermalDriver::ThermalDriver(const ThermalParams &params,
              static_cast<unsigned long long>(maxEpoch));
         params_.epoch = maxEpoch;
     }
-    epochs_ = &stats.counter("epochs");
-    rescales_ = &stats.counter("retention_rescales");
-    maxTempStat_ = &stats.accum("max_temp_c");
-    maxTempStat_->set(maxTempC_);
 }
 
 void
@@ -47,7 +59,7 @@ ThermalDriver::addUnit(CacheUnit &unit, double leakW, double eAccessJ)
                           ThermalNode(params_.ambientC,
                                       params_.rThetaKperW,
                                       params_.cThetaJperK),
-                          1.0, 0, 0});
+                          1.0, 0});
 }
 
 void
@@ -59,12 +71,10 @@ ThermalDriver::start(Tick now)
     // not only after the first epoch.
     const double factor0 = response_.factorAt(params_.ambientC);
     for (Node &n : nodes_) {
-        n.lastAccesses = n.unit->accessTally;
-        n.lastRefreshes = n.unit->refreshTally;
+        n.lastEvents = lineEventsOf(*n.unit);
         if (n.unit->engine != nullptr &&
             n.unit->engine->supportsRetentionScaling()) {
-            if (n.unit->engine->setRetentionScale(factor0, now))
-                rescales_->inc();
+            n.unit->engine->setRetentionScale(factor0, now);
             n.appliedFactor = factor0;
         }
     }
@@ -78,12 +88,9 @@ ThermalDriver::fire(Tick now, std::uint64_t)
     if (dt > 0) {
         const double dtSec = ticksToSeconds(dt);
         for (Node &n : nodes_) {
-            const std::uint64_t acc = n.unit->accessTally;
-            const std::uint64_t ref = n.unit->refreshTally;
-            const std::uint64_t events =
-                (acc - n.lastAccesses) + (ref - n.lastRefreshes);
-            n.lastAccesses = acc;
-            n.lastRefreshes = ref;
+            const std::uint64_t total = lineEventsOf(*n.unit);
+            const std::uint64_t events = total - n.lastEvents;
+            n.lastEvents = total;
 
             const double powerW =
                 unitEpochPower(n.leakW, n.eAccessJ, events, dt);
@@ -98,13 +105,11 @@ ThermalDriver::fire(Tick now, std::uint64_t)
             const double rel = std::abs(factor - n.appliedFactor) /
                                n.appliedFactor;
             if (rel > params_.rescaleEpsilon) {
-                if (engine->setRetentionScale(factor, now))
-                    rescales_->inc();
+                engine->setRetentionScale(factor, now);
                 n.appliedFactor = factor;
             }
         }
-        maxTempStat_->set(maxTempC_);
-        epochs_->inc();
+        ++epochs_;
     }
     lastTick_ = now;
     eq_.schedule(now + params_.epoch, this, 0);

@@ -6,8 +6,9 @@
  * Every eDRAM cache unit (L1s, private L2s, L3 banks) is one lumped
  * thermal node: a heat capacity C coupled to the ambient/heat-sink
  * temperature through a thermal resistance R.  Once per thermal epoch
- * the driver converts the unit's access/refresh tallies plus its
- * leakage into an average power, integrates the node with one explicit
+ * the driver converts the unit's array accesses (its reads + writes)
+ * and its engine's line refreshes since the last epoch, plus its
+ * leakage, into an average power, integrates the node with one explicit
  * fixed-step Euler update (deterministic: same inputs, same
  * temperatures, on every run and thread count), and maps the new
  * temperature through the Arrhenius-style retention curve
@@ -26,7 +27,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/stats.hh"
 #include "common/types.hh"
 #include "edram/refresh_engine.hh"
 #include "edram/retention.hh"
@@ -62,7 +62,7 @@ struct ThermalParams
      *  O(lines) re-stamp path in steady state). */
     double rescaleEpsilon = 0.005;
 
-    /** Power coefficients used to turn tallies into watts. */
+    /** Power coefficients used to turn event counts into watts. */
     EnergyParams energy = EnergyParams::calibrated();
 };
 
@@ -111,15 +111,14 @@ class ThermalNode
 
 /**
  * The epoch driver: owns one ThermalNode per registered cache unit,
- * polls the units' activity tallies on the shared event queue, and
+ * samples the units' event counts on the shared event queue, and
  * pushes retention rescales into their refresh engines.
  */
 class ThermalDriver : public EventClient
 {
   public:
     ThermalDriver(const ThermalParams &params,
-                  const ThermalResponse &response, EventQueue &eq,
-                  StatGroup &stats);
+                  const ThermalResponse &response, EventQueue &eq);
 
     ThermalDriver(const ThermalDriver &) = delete;
     ThermalDriver &operator=(const ThermalDriver &) = delete;
@@ -143,7 +142,7 @@ class ThermalDriver : public EventClient
     double maxTempC() const { return maxTempC_; }
 
     /** Epochs integrated so far. */
-    std::uint64_t epochs() const { return epochs_->value(); }
+    std::uint64_t epochs() const { return epochs_; }
 
   private:
     struct Node
@@ -153,8 +152,7 @@ class ThermalDriver : public EventClient
         double eAccessJ;
         ThermalNode rc;
         double appliedFactor = 1.0;
-        std::uint64_t lastAccesses = 0;
-        std::uint64_t lastRefreshes = 0;
+        std::uint64_t lastEvents = 0; ///< line events at the last epoch
     };
 
     ThermalParams params_;
@@ -164,10 +162,7 @@ class ThermalDriver : public EventClient
     Tick lastTick_ = 0;
     double maxTempC_;
     bool warnedStatic_ = false;
-
-    Counter *epochs_;
-    Counter *rescales_;
-    Accum *maxTempStat_;
+    std::uint64_t epochs_ = 0;
 };
 
 } // namespace refrint

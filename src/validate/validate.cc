@@ -74,33 +74,32 @@ constexpr std::size_t kPrintCap = 10;
 
 // ---------------------------------------------------------------------
 
-/** Inverse of machineIdFor(): "" / "hyb" / "cN" / "cN+hyb". */
+/** Inverse of machineIdFor(): "" / "hyb" / "cN" / "cN+hyb".  A label
+ *  is accepted only when it names a machine the simulator builds and
+ *  machineIdFor() spells it back exactly ("c16" and "c+32" do not). */
 bool
 parseMachineLabel(const std::string &m, std::uint32_t &cores,
                   bool &hybrid)
 {
     cores = 16;
-    hybrid = false;
-    if (m.empty())
-        return true;
     std::string rest = m;
-    if (rest == "hyb") {
-        hybrid = true;
-        return true;
+    hybrid = rest == "hyb" ||
+             (rest.size() > 4 &&
+              rest.compare(rest.size() - 4, 4, "+hyb") == 0);
+    if (hybrid)
+        rest.resize(rest.size() - (rest == "hyb" ? 3 : 4));
+    if (!rest.empty()) {
+        if (rest[0] != 'c')
+            return false;
+        char *end = nullptr;
+        const long v = std::strtol(rest.c_str() + 1, &end, 10);
+        if (end == rest.c_str() + 1 || *end != '\0' ||
+            v < static_cast<long>(kMinCores) ||
+            v > static_cast<long>(kMaxCores))
+            return false;
+        cores = static_cast<std::uint32_t>(v);
     }
-    if (rest.size() > 4 &&
-        rest.compare(rest.size() - 4, 4, "+hyb") == 0) {
-        hybrid = true;
-        rest.resize(rest.size() - 4);
-    }
-    if (rest.size() < 2 || rest[0] != 'c')
-        return false;
-    char *end = nullptr;
-    const long v = std::strtol(rest.c_str() + 1, &end, 10);
-    if (end == rest.c_str() + 1 || *end != '\0' || v < 1 || v > 1024)
-        return false;
-    cores = static_cast<std::uint32_t>(v);
-    return true;
+    return machineIdFor(cores, hybrid) == m;
 }
 
 /** Scenario family label for the calibration table: "SRAM", "P.all",

@@ -3,10 +3,14 @@
  * Tests for the trace-driven core model and the CmpSystem assembly:
  * completion semantics, determinism, instruction accounting, and the
  * timing feedback loops (miss stalls and refresh-blocked banks) that
- * produce the paper's slowdown numbers.
+ * produce the paper's slowdown numbers, and the conservation identity
+ * of the refresh engines' visit counts.
  */
 
 #include <gtest/gtest.h>
+
+#include <array>
+#include <tuple>
 
 #include "test_util.hh"
 #include "workload/micro.hh"
@@ -16,6 +20,21 @@ namespace refrint::test
 
 namespace
 {
+
+constexpr LevelRole kRoles[] = {LevelRole::IL1, LevelRole::DL1,
+                                LevelRole::L2, LevelRole::LLC};
+
+/** Every counter of one level, in a comparable form. */
+std::array<std::uint64_t, 12>
+fieldsOf(const LevelCounts &n)
+{
+    const AccessCounts &a = n.access;
+    const RefreshCounts &r = n.refresh;
+    return {a.reads,      a.writes,         a.misses,
+            a.fills,      a.backInvals,     a.decayedHits,
+            r.visits,     r.lineRefreshes,  r.writebacks,
+            r.invalidations, r.skips,       n.offLineTicks};
+}
 
 TEST(CoreSystem, EveryCoreIssuesExactlyTheRequestedRefs)
 {
@@ -59,10 +78,15 @@ TEST(CoreSystem, RunsAreDeterministic)
     EXPECT_EQ(a.run(), b.run());
     EXPECT_EQ(a.totalInstructions(), b.totalInstructions());
 
-    std::map<std::string, double> sa, sb;
-    a.hierarchy().dumpStats(sa);
-    b.hierarchy().dumpStats(sb);
-    EXPECT_EQ(sa, sb);
+    for (LevelRole r : kRoles) {
+        EXPECT_EQ(fieldsOf(a.hierarchy().levelCounts(r)),
+                  fieldsOf(b.hierarchy().levelCounts(r)))
+            << levelRoleName(r);
+    }
+    EXPECT_EQ(a.hierarchy().network().totalHops(),
+              b.hierarchy().network().totalHops());
+    EXPECT_EQ(a.hierarchy().dram().accesses(),
+              b.hierarchy().dram().accesses());
 }
 
 TEST(CoreSystem, DifferentSeedsChangeTheRun)
@@ -153,10 +177,48 @@ TEST(CoreSystem, FetchTrafficHitsThePaperSizedIL1)
     CmpSystem sys(HierarchyConfig::paperSram(), app, sim);
     sys.run();
 
-    std::map<std::string, double> m;
-    sys.hierarchy().dumpStats(m);
-    EXPECT_GT(m["il1.reads"], 0.0);
-    EXPECT_LT(m["il1.misses"], m["il1.reads"] * 0.1);
+    const AccessCounts il1 =
+        sys.hierarchy().levelCounts(LevelRole::IL1).access;
+    EXPECT_GT(il1.reads, 0u);
+    EXPECT_LT(static_cast<double>(il1.misses),
+              static_cast<double>(il1.reads) * 0.1);
+}
+
+/** Every deadline visit ends in exactly one outcome, on every level,
+ *  under every time x data policy, isothermal and on a hot die (where
+ *  retention rescales reshape the visit schedule). */
+TEST(CoreSystem, RefreshVisitsAreConserved)
+{
+    UniformWorkload app(16 * 1024, 0.4);
+    for (TimePolicy tp : {TimePolicy::Periodic, TimePolicy::Refrint,
+                          TimePolicy::SmartRefresh}) {
+        for (const auto &[dp, n, m] :
+             {std::tuple{DataPolicy::All, 0u, 0u},
+              std::tuple{DataPolicy::Valid, 0u, 0u},
+              std::tuple{DataPolicy::Dirty, 0u, 0u},
+              std::tuple{DataPolicy::WB, 4u, 4u}}) {
+            for (bool hot : {false, true}) {
+                MachineConfig cfg = tinyEdram(RefreshPolicy{tp, dp, n, m});
+                cfg.thermal.enabled = hot;
+                cfg.thermal.ambientC = 85.0;
+                SCOPED_TRACE(cfg.configName() + (hot ? " @ 85 C" : ""));
+                SimParams sim;
+                sim.refsPerCore = 6'000;
+                CmpSystem sys(cfg, app, sim);
+                sys.run();
+                std::uint64_t visits = 0;
+                for (LevelRole r : kRoles) {
+                    const RefreshCounts c =
+                        sys.hierarchy().levelCounts(r).refresh;
+                    EXPECT_EQ(c.visits, c.lineRefreshes + c.writebacks +
+                                            c.invalidations + c.skips)
+                        << levelRoleName(r);
+                    visits += c.visits;
+                }
+                EXPECT_GT(visits, 0u);
+            }
+        }
+    }
 }
 
 } // namespace

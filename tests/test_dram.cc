@@ -13,24 +13,21 @@ namespace refrint::test
 
 TEST(Dram, ReadLatency)
 {
-    StatGroup sg{"dram"};
-    Dram d(40, 0, sg);
+    Dram d(40, 0);
     EXPECT_EQ(d.read(100), 140u);
     EXPECT_EQ(d.reads(), 1u);
 }
 
 TEST(Dram, WritesArePosted)
 {
-    StatGroup sg{"dram"};
-    Dram d(40, 0, sg);
+    Dram d(40, 0);
     EXPECT_EQ(d.write(100), 100u) << "writer does not wait for the array";
     EXPECT_EQ(d.writes(), 1u);
 }
 
 TEST(Dram, ChannelGapSerializesBackToBackAccesses)
 {
-    StatGroup sg{"dram"};
-    Dram d(40, 4, sg);
+    Dram d(40, 4);
     EXPECT_EQ(d.read(100), 140u);
     // Second access at the same tick waits for the channel.
     EXPECT_EQ(d.read(100), 144u);
@@ -41,16 +38,14 @@ TEST(Dram, ChannelGapSerializesBackToBackAccesses)
 
 TEST(Dram, ZeroGapDisablesBandwidthModel)
 {
-    StatGroup sg{"dram"};
-    Dram d(40, 0, sg);
+    Dram d(40, 0);
     EXPECT_EQ(d.read(100), 140u);
     EXPECT_EQ(d.read(100), 140u);
 }
 
 TEST(Dram, UntimedWritesOnlyCount)
 {
-    StatGroup sg{"dram"};
-    Dram d(40, 4, sg);
+    Dram d(40, 4);
     d.accountUntimedWrite();
     d.accountUntimedWrite();
     EXPECT_EQ(d.writes(), 2u);
@@ -60,8 +55,7 @@ TEST(Dram, UntimedWritesOnlyCount)
 
 TEST(Dram, AccessesSumsBoth)
 {
-    StatGroup sg{"dram"};
-    Dram d(40, 0, sg);
+    Dram d(40, 0);
     d.read(0);
     d.write(0);
     d.accountUntimedWrite();

@@ -89,13 +89,13 @@ TEST_F(CoherenceTest, SecondLoaderDowngradesToShared)
 TEST_F(CoherenceTest, LoadHitInL1SkipsLowerLevels)
 {
     load(0, kA);
-    const auto l2Reads = hier.l2(0).reads->value();
-    const auto l3Reads = hier.l3Bank(hier.bankOf(kA)).reads->value();
+    const auto l2Reads = hier.l2(0).counts.reads;
+    const auto l3Reads = hier.l3Bank(hier.bankOf(kA)).counts.reads;
 
     load(0, kA);
 
-    EXPECT_EQ(hier.l2(0).reads->value(), l2Reads);
-    EXPECT_EQ(hier.l3Bank(hier.bankOf(kA)).reads->value(), l3Reads);
+    EXPECT_EQ(hier.l2(0).counts.reads, l2Reads);
+    EXPECT_EQ(hier.l3Bank(hier.bankOf(kA)).counts.reads, l3Reads);
 }
 
 TEST_F(CoherenceTest, FetchFillsIL1NotDL1)
@@ -109,11 +109,11 @@ TEST_F(CoherenceTest, FetchFillsIL1NotDL1)
 TEST_F(CoherenceTest, FetchAndLoadShareTheL2Copy)
 {
     fetch(0, kA);
-    const auto l3Misses = hier.l3Bank(hier.bankOf(kA)).misses->value();
+    const auto l3Misses = hier.l3Bank(hier.bankOf(kA)).counts.misses;
     load(0, kA);
 
     // The load hits the L2 copy installed by the fetch: no new L3 miss.
-    EXPECT_EQ(hier.l3Bank(hier.bankOf(kA)).misses->value(), l3Misses);
+    EXPECT_EQ(hier.l3Bank(hier.bankOf(kA)).counts.misses, l3Misses);
     EXPECT_NE(il1Line(0, kA), nullptr);
     EXPECT_NE(dl1Line(0, kA), nullptr);
 }
@@ -154,26 +154,26 @@ TEST_F(CoherenceTest, StoreUpdatesExistingDL1Copy)
 TEST_F(CoherenceTest, WriteThroughStoresAlwaysReachL2)
 {
     store(0, kA);
-    const auto w = hier.l2(0).writes->value();
+    const auto w = hier.l2(0).counts.writes;
 
     store(0, kA);
     store(0, kA);
 
-    EXPECT_EQ(hier.l2(0).writes->value(), w + 2);
+    EXPECT_EQ(hier.l2(0).counts.writes, w + 2);
 }
 
 TEST_F(CoherenceTest, SilentExclusiveToModifiedUpgrade)
 {
     load(0, kA);
     ASSERT_EQ(l2Line(0, kA)->state, Mesi::Exclusive);
-    const auto l3Reads = hier.l3Bank(hier.bankOf(kA)).reads->value();
+    const auto l3Reads = hier.l3Bank(hier.bankOf(kA)).counts.reads;
 
     store(0, kA);
 
     EXPECT_EQ(l2Line(0, kA)->state, Mesi::Modified);
     EXPECT_TRUE(l2Line(0, kA)->dirty);
     // The upgrade is silent: no directory transaction.
-    EXPECT_EQ(hier.l3Bank(hier.bankOf(kA)).reads->value(), l3Reads);
+    EXPECT_EQ(hier.l3Bank(hier.bankOf(kA)).counts.reads, l3Reads);
     EXPECT_EQ(l3Line(kA)->owner, 0);
 }
 
@@ -309,7 +309,7 @@ TEST_F(CoherenceTest, L3EvictionBackInvalidatesPrivateCopies)
     EXPECT_EQ(l3Line(kA), nullptr);
     EXPECT_EQ(l2Line(0, kA), nullptr);
     EXPECT_EQ(dl1Line(0, kA), nullptr);
-    EXPECT_GE(hier.l2(0).backInvals->value(), 1u);
+    EXPECT_GE(hier.l2(0).counts.backInvals, 1u);
 }
 
 TEST_F(CoherenceTest, L3EvictionOfModifiedLineRescuesDataToDram)

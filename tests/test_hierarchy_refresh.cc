@@ -51,13 +51,11 @@ struct RefreshHarness
         return hier.l3Bank(hier.bankOf(a)).array.lookup(a);
     }
 
-    std::uint64_t
-    stat(const char *name)
+    /** Counters of the level playing role @p r. */
+    LevelCounts
+    level(LevelRole r = LevelRole::LLC) const
     {
-        std::map<std::string, double> m;
-        hier.dumpStats(m);
-        auto it = m.find(name);
-        return it == m.end() ? 0 : static_cast<std::uint64_t>(it->second);
+        return hier.levelCounts(r);
     }
 
     EventQueue eq;
@@ -77,8 +75,8 @@ TEST(HierarchyRefresh, ValidPolicyKeepsCleanLinesAliveForever)
 
     ASSERT_NE(h.l3Line(kA), nullptr);
     EXPECT_TRUE(h.l3Line(kA)->valid());
-    EXPECT_EQ(h.stat("l3.decayed_hits"), 0u);
-    EXPECT_GE(h.stat("refresh.l3.line_refreshes"), 9u);
+    EXPECT_EQ(h.level().access.decayedHits, 0u);
+    EXPECT_GE(h.level().refresh.lineRefreshes, 9u);
 }
 
 TEST(HierarchyRefresh, DirtyPolicyInvalidatesCleanLinesAtFirstDeadline)
@@ -89,7 +87,7 @@ TEST(HierarchyRefresh, DirtyPolicyInvalidatesCleanLinesAtFirstDeadline)
     h.advanceTo(usToTicks(6.0)); // one sentry deadline passes
 
     EXPECT_EQ(h.l3Line(kA), nullptr);
-    EXPECT_GE(h.stat("refresh.l3.refresh_invalidations"), 1u);
+    EXPECT_GE(h.level().refresh.invalidations, 1u);
 }
 
 TEST(HierarchyRefresh, DirtyPolicyRefreshesDirtyLines)
@@ -121,7 +119,7 @@ TEST(HierarchyRefresh, WBPolicyWritesBackDirtyLineAfterNRefreshes)
     EXPECT_FALSE(h.l3Line(kA)->dirty);
     EXPECT_TRUE(h.l3Line(kA)->valid());
     EXPECT_EQ(h.hier.dram().writes(), w + 1);
-    EXPECT_EQ(h.stat("refresh.l3.refresh_writebacks"), 1u);
+    EXPECT_EQ(h.level().refresh.writebacks, 1u);
 }
 
 TEST(HierarchyRefresh, WBPolicyInvalidatesCleanLineAfterMMoreRefreshes)
@@ -135,8 +133,8 @@ TEST(HierarchyRefresh, WBPolicyInvalidatesCleanLineAfterMMoreRefreshes)
     h.advanceTo(usToTicks(28.0));
 
     EXPECT_EQ(h.l3Line(kA), nullptr);
-    EXPECT_EQ(h.stat("refresh.l3.refresh_writebacks"), 1u);
-    EXPECT_GE(h.stat("refresh.l3.refresh_invalidations"), 1u);
+    EXPECT_EQ(h.level().refresh.writebacks, 1u);
+    EXPECT_GE(h.level().refresh.invalidations, 1u);
 }
 
 TEST(HierarchyRefresh, AccessesReachingL3ResetTheWBCount)
@@ -154,7 +152,7 @@ TEST(HierarchyRefresh, AccessesReachingL3ResetTheWBCount)
 
     ASSERT_NE(h.l3Line(kA), nullptr);
     EXPECT_TRUE(h.l3Line(kA)->valid());
-    EXPECT_EQ(h.stat("refresh.l3.refresh_invalidations"), 0u);
+    EXPECT_EQ(h.level().refresh.invalidations, 0u);
 }
 
 TEST(HierarchyRefresh, L1HitsAreInvisibleToTheL3WBCount)
@@ -172,8 +170,8 @@ TEST(HierarchyRefresh, L1HitsAreInvisibleToTheL3WBCount)
         h.access(0, kA, AccessType::Load, t); // DL1 hit after refill
     }
 
-    EXPECT_GE(h.stat("refresh.l3.refresh_invalidations"), 1u);
-    EXPECT_GE(h.stat("l3.misses"), 2u); // initial miss + re-fetches
+    EXPECT_GE(h.level().refresh.invalidations, 1u);
+    EXPECT_GE(h.level().access.misses, 2u); // initial miss + re-fetches
 }
 
 TEST(HierarchyRefresh, RefreshInvalidationBackInvalidatesUpperLevels)
@@ -255,7 +253,7 @@ TEST(HierarchyRefresh, AutoRefreshSuppressesExplicitRefreshesOfHotLines)
         t += usToTicks(1.0);
     }
 
-    EXPECT_LE(h.stat("refresh.l3.line_refreshes"), 2u);
+    EXPECT_LE(h.level().refresh.lineRefreshes, 2u);
 }
 
 TEST(HierarchyRefresh, AllPolicyRefreshesInvalidLinesToo)
@@ -266,7 +264,7 @@ TEST(HierarchyRefresh, AllPolicyRefreshesInvalidLinesToo)
     h.advanceTo(usToTicks(10.0));
 
     const std::uint64_t l3Lines = 4 * 512; // 4 banks x 512 lines
-    EXPECT_GE(h.stat("refresh.l3.line_refreshes"), l3Lines);
+    EXPECT_GE(h.level().refresh.lineRefreshes, l3Lines);
 }
 
 TEST(HierarchyRefresh, ValidPolicySkipsInvalidLines)
@@ -274,7 +272,7 @@ TEST(HierarchyRefresh, ValidPolicySkipsInvalidLines)
     RefreshHarness h(RefreshPolicy::refrint(DataPolicy::Valid));
     h.advanceTo(usToTicks(10.0));
 
-    EXPECT_EQ(h.stat("refresh.l3.line_refreshes"), 0u);
+    EXPECT_EQ(h.level().refresh.lineRefreshes, 0u);
 }
 
 // ---------------------------------------------------------------------
@@ -289,7 +287,7 @@ TEST(HierarchyRefresh, PeriodicAllBlocksTheBank)
     // Every line in every bank was visited in blocking bursts.
     EXPECT_GT(h.hier.l3Bank(0).busyUntil, 0u);
     const std::uint64_t l3Lines = 4 * 512;
-    EXPECT_GE(h.stat("refresh.l3.line_refreshes"), l3Lines);
+    EXPECT_GE(h.level().refresh.lineRefreshes, l3Lines);
 }
 
 TEST(HierarchyRefresh, PeriodicEagerlyRefreshesAccessedLinesRefrintDoesNot)
@@ -311,10 +309,10 @@ TEST(HierarchyRefresh, PeriodicEagerlyRefreshesAccessedLinesRefrintDoesNot)
         r.access(i % 2, kA, AccessType::Store, t);
     }
 
-    EXPECT_GT(p.stat("refresh.l3.line_refreshes"),
-              r.stat("refresh.l3.line_refreshes"));
-    EXPECT_EQ(p.stat("l3.decayed_hits"), 0u);
-    EXPECT_EQ(r.stat("l3.decayed_hits"), 0u);
+    EXPECT_GT(p.level().refresh.lineRefreshes,
+              r.level().refresh.lineRefreshes);
+    EXPECT_EQ(p.level().access.decayedHits, 0u);
+    EXPECT_EQ(r.level().access.decayedHits, 0u);
 }
 
 TEST(HierarchyRefresh, SentryMarginCostsRefrintRefreshesOnIdleData)
@@ -333,10 +331,10 @@ TEST(HierarchyRefresh, SentryMarginCostsRefrintRefreshesOnIdleData)
 
     // tiny L3 bank: 512 lines -> sentry period 5 us - 512 ticks; over
     // 50 us that is 11 visits vs. Periodic's 10.
-    EXPECT_GE(r.stat("refresh.l3.line_refreshes"),
-              p.stat("refresh.l3.line_refreshes"));
-    EXPECT_EQ(p.stat("l3.decayed_hits"), 0u);
-    EXPECT_EQ(r.stat("l3.decayed_hits"), 0u);
+    EXPECT_GE(r.level().refresh.lineRefreshes,
+              p.level().refresh.lineRefreshes);
+    EXPECT_EQ(p.level().access.decayedHits, 0u);
+    EXPECT_EQ(r.level().access.decayedHits, 0u);
 }
 
 // ---------------------------------------------------------------------
@@ -371,12 +369,11 @@ TEST_P(PolicySoundness, NoDecayedHitsAndInvariantsHold)
     }
     eq.run(t);
 
-    std::map<std::string, double> m;
-    hier.dumpStats(m);
-    EXPECT_EQ(m["l3.decayed_hits"], 0.0) << pol.name();
-    EXPECT_EQ(m["l2.decayed_hits"], 0.0) << pol.name();
-    EXPECT_EQ(m["dl1.decayed_hits"], 0.0) << pol.name();
-    EXPECT_EQ(m["il1.decayed_hits"], 0.0) << pol.name();
+    for (LevelRole r : {LevelRole::LLC, LevelRole::L2, LevelRole::DL1,
+                        LevelRole::IL1}) {
+        EXPECT_EQ(hier.levelCounts(r).access.decayedHits, 0u)
+            << pol.name() << " " << levelRoleName(r);
+    }
     hier.checkInvariants(t);
 }
 

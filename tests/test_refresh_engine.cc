@@ -1,10 +1,10 @@
 /**
  * @file
  * Unit tests for the refresh engines, using a mock RefreshTarget so the
- * engines are exercised in isolation from the coherence hierarchy.  The
- * mock takes the same service loops the hierarchy adapter does: one
- * refreshLines() charge per burst or interrupt, so a refreshed line
- * shows as a charge record plus its renewed data clock.
+ * engines are exercised in isolation from the coherence hierarchy.  An
+ * engine blocks the bank once per burst or interrupt that services
+ * lines, so a refreshed line shows as a bank-time record, a count in
+ * the engine's lineRefreshes, and its renewed data clock.
  */
 
 #include <gtest/gtest.h>
@@ -20,8 +20,8 @@ namespace refrint::test
 namespace
 {
 
-/** One refreshLines() call: (count, tick). */
-using Charge = std::pair<std::uint32_t, Tick>;
+/** One addBusy() call: (cycles, tick). */
+using Charge = std::pair<Tick, Tick>;
 
 /** RefreshTarget recording every action the engine takes. */
 struct MockTarget : RefreshTarget
@@ -34,12 +34,6 @@ struct MockTarget : RefreshTarget
     }
 
     CacheArray &array() override { return arr; }
-
-    void
-    refreshLines(std::uint32_t count, Tick now) override
-    {
-        charges.emplace_back(count, now);
-    }
 
     void
     writebackLine(std::uint32_t idx, Tick now) override
@@ -58,24 +52,14 @@ struct MockTarget : RefreshTarget
     void
     addBusy(Tick now, Tick cycles) override
     {
+        charges.emplace_back(cycles, now);
         busyCycles += cycles;
-        (void)now;
     }
 
     const char *name() const override { return "mock"; }
 
-    /** Line refreshes charged so far, over every charge. */
-    std::uint64_t
-    refreshed() const
-    {
-        std::uint64_t n = 0;
-        for (const auto &c : charges)
-            n += c.first;
-        return n;
-    }
-
     CacheArray arr;
-    std::vector<Charge> charges;
+    std::vector<Charge> charges; ///< bank time per burst or interrupt
     std::vector<std::pair<std::uint32_t, Tick>> wrote, invalidated;
     Tick busyCycles = 0;
 };
@@ -90,7 +74,7 @@ struct EngineFixture
         RefreshPolicy pol{tp, dp, n, m};
         RetentionParams ret{retention, kTickNever, {}, {}};
         EngineGeometry geom{groupSize, 4, 4};
-        engine = makeRefreshEngine(target, pol, ret, geom, eq, stats);
+        engine = makeRefreshEngine(target, pol, ret, geom, eq);
     }
 
     /** Install a valid line at @p idx and tell the engine. */
@@ -109,8 +93,10 @@ struct EngineFixture
     MockTarget target;
     EventQueue eq;
     Callbacks cb{eq};
-    StatGroup stats{"eng"};
     std::unique_ptr<RefreshEngine> engine;
+
+    /** Line refreshes the engine has counted so far. */
+    std::uint64_t refreshed() const { return engine->lineRefreshes(); }
 };
 
 } // namespace
@@ -170,7 +156,7 @@ TEST(RefrintEngine, IdleValidLineRefreshedOncePerSentryPeriod)
     f.engine->start(0);
     f.install(0, 0);
     f.eq.run(984 * 4 + 10);
-    EXPECT_EQ(f.target.refreshed(), 4u);
+    EXPECT_EQ(f.refreshed(), 4u);
     EXPECT_EQ(f.target.charges.size(), 4u) << "one interrupt per period";
 }
 
@@ -191,7 +177,7 @@ TEST(RefrintEngine, AllPolicyRefreshesInvalidLinesToo)
     f.engine->start(0);
     f.eq.run(2000);
     // All 16 (invalid) lines refreshed at least twice in two periods.
-    EXPECT_GE(f.target.refreshed(), 32u);
+    EXPECT_GE(f.refreshed(), 32u);
     EXPECT_TRUE(f.target.invalidated.empty());
 }
 
@@ -219,7 +205,7 @@ TEST(RefrintEngine, WbLifecycleOnIdleDirtyLine)
     f.engine->start(0);
     f.install(4, 0, /*dirty=*/true);
     f.eq.run(984 * 5);
-    EXPECT_EQ(f.target.refreshed(), 3u); // 2 dirty + 1 clean
+    EXPECT_EQ(f.refreshed(), 3u); // 2 dirty + 1 clean
     EXPECT_EQ(f.target.wrote.size(), 1u);
     EXPECT_EQ(f.target.invalidated.size(), 1u);
 }
@@ -236,10 +222,10 @@ TEST(RefrintEngine, GroupedSentriesServiceWholeGroup)
     f.install(2, 0);
     f.install(9, 0); // different group
     f.eq.run(990);
-    EXPECT_EQ(f.target.refreshed(), 4u);
+    EXPECT_EQ(f.refreshed(), 4u);
     EXPECT_EQ(f.target.charges,
               (std::vector<Charge>{{3, 984}, {1, 984}}))
-        << "one charge per group interrupt";
+        << "one bank block per group interrupt";
     EXPECT_EQ(f.target.busyCycles, 4u) << "one stolen cycle per line";
 }
 
@@ -278,10 +264,10 @@ TEST(PeriodicEngine, VisitsEveryLineOncePerPeriod)
                     1000);
     f.engine->start(0);
     f.eq.run(1000);
-    EXPECT_EQ(f.target.refreshed(), 16u);
-    EXPECT_EQ(f.target.charges.size(), 4u) << "one charge per burst";
+    EXPECT_EQ(f.refreshed(), 16u);
+    EXPECT_EQ(f.target.charges.size(), 4u) << "one bank block per burst";
     f.eq.run(2000);
-    EXPECT_EQ(f.target.refreshed(), 32u);
+    EXPECT_EQ(f.refreshed(), 32u);
 }
 
 TEST(PeriodicEngine, BurstsAreStaggeredAcrossThePeriod)
@@ -290,7 +276,7 @@ TEST(PeriodicEngine, BurstsAreStaggeredAcrossThePeriod)
                     1000);
     f.engine->start(0);
     f.eq.run(499);
-    const std::uint64_t firstHalf = f.target.refreshed();
+    const std::uint64_t firstHalf = f.refreshed();
     EXPECT_GT(firstHalf, 0u);
     EXPECT_LT(firstHalf, 16u)
         << "the full cache must not refresh in one burst";
@@ -307,7 +293,7 @@ TEST(PeriodicEngine, EagerlyRefreshesRecentlyAccessedLines)
     for (Tick t = 100; t <= 2000; t += 100)
         f.cb.at(t, [&](Tick now) { f.engine->onAccess(0, now); });
     f.eq.run(2100);
-    EXPECT_GE(f.target.refreshed(), 2u)
+    EXPECT_GE(f.refreshed(), 2u)
         << "periodic refreshes hot lines anyway";
 }
 
@@ -332,7 +318,7 @@ TEST(PeriodicEngine, WbCountsDownAcrossPeriods)
     f.eq.run(3 * 1000 + 10);
     // Period 1: count 1 -> refresh; period 2: count 0 dirty -> WB;
     // period 3: clean, m=0 -> invalidate.
-    EXPECT_EQ(f.target.refreshed(), 1u);
+    EXPECT_EQ(f.refreshed(), 1u);
     EXPECT_EQ(f.target.wrote.size(), 1u);
     EXPECT_EQ(f.target.invalidated.size(), 1u);
 }
@@ -353,12 +339,11 @@ TEST(EngineDeath, SentryMarginMustFitRetention)
     // (= line count) exceeds the retention period.
     MockTarget target(16);
     EventQueue eq;
-    StatGroup sg{"eng"};
     RetentionParams ret{10, kTickNever, {}, {}};
     EngineGeometry geom{1, 4, 4};
     EXPECT_DEATH(makeRefreshEngine(
                      target, RefreshPolicy::refrint(DataPolicy::Valid),
-                     ret, geom, eq, sg),
+                     ret, geom, eq),
                  "sentry margin");
 }
 

@@ -32,13 +32,11 @@ struct Harness
         hier.start(0);
     }
 
-    std::uint64_t
-    stat(const char *name)
+    /** Counters of the level playing role @p r. */
+    LevelCounts
+    level(LevelRole r = LevelRole::LLC) const
     {
-        std::map<std::string, double> m;
-        hier.dumpStats(m);
-        auto it = m.find(name);
-        return it == m.end() ? 0 : static_cast<std::uint64_t>(it->second);
+        return hier.levelCounts(r);
     }
 
     EventQueue eq;
@@ -68,8 +66,8 @@ TEST(SmartRefresh, KeepsIdleValidLinesAlive)
     h.eq.run(usToTicks(50.0));
 
     ASSERT_NE(h.hier.l3Bank(h.hier.bankOf(kA)).array.lookup(kA), nullptr);
-    EXPECT_EQ(h.stat("l3.decayed_hits"), 0u);
-    EXPECT_GE(h.stat("refresh.l3.line_refreshes"), 9u);
+    EXPECT_EQ(h.level().access.decayedHits, 0u);
+    EXPECT_GE(h.level().refresh.lineRefreshes, 9u);
 }
 
 TEST(SmartRefresh, SkipsRecentlyAccessedLines)
@@ -86,8 +84,8 @@ TEST(SmartRefresh, SkipsRecentlyAccessedLines)
         t += usToTicks(1.0);
     }
 
-    EXPECT_LE(h.stat("refresh.l3.line_refreshes"), 2u);
-    EXPECT_EQ(h.stat("l3.decayed_hits"), 0u);
+    EXPECT_LE(h.level().refresh.lineRefreshes, 2u);
+    EXPECT_EQ(h.level().access.decayedHits, 0u);
 }
 
 TEST(SmartRefresh, QuantizesRefreshEarlierThanRefrint)
@@ -107,8 +105,8 @@ TEST(SmartRefresh, QuantizesRefreshEarlierThanRefrint)
     s.eq.run(usToTicks(60.0));
     r.eq.run(usToTicks(60.0));
 
-    EXPECT_GE(s.stat("refresh.l3.line_refreshes"),
-              r.stat("refresh.l3.line_refreshes"));
+    EXPECT_GE(s.level().refresh.lineRefreshes,
+              r.level().refresh.lineRefreshes);
 }
 
 TEST(SmartRefresh, ComposesWithWBDataPolicy)
@@ -121,8 +119,8 @@ TEST(SmartRefresh, ComposesWithWBDataPolicy)
     h.eq.run(usToTicks(30.0));
 
     // Lifecycle completed: refresh, write back, refresh, invalidate.
-    EXPECT_EQ(h.stat("refresh.l3.refresh_writebacks"), 1u);
-    EXPECT_GE(h.stat("refresh.l3.refresh_invalidations"), 1u);
+    EXPECT_EQ(h.level().refresh.writebacks, 1u);
+    EXPECT_GE(h.level().refresh.invalidations, 1u);
     EXPECT_EQ(h.hier.l3Bank(h.hier.bankOf(kA)).array.lookup(kA), nullptr);
 }
 
@@ -146,9 +144,7 @@ TEST(SmartRefresh, SoundUnderRandomTraffic)
             10;
     }
     eq.run(t);
-    std::map<std::string, double> m;
-    hier.dumpStats(m);
-    EXPECT_EQ(m["l3.decayed_hits"], 0.0);
+    EXPECT_EQ(hier.levelCounts(LevelRole::LLC).access.decayedHits, 0u);
     hier.checkInvariants(t);
 }
 
@@ -174,7 +170,7 @@ TEST(CacheDecay, GatesOffIdleLinesAfterTheInterval)
     h.eq.run(usToTicks(12.0));
 
     EXPECT_EQ(h.hier.l3Bank(h.hier.bankOf(kA)).array.lookup(kA), nullptr);
-    EXPECT_GE(h.stat("refresh.l3.decay_gateoffs"), 1u);
+    EXPECT_GE(h.level().refresh.invalidations, 1u);
     h.hier.checkInvariants(usToTicks(12.0));
 }
 
@@ -262,9 +258,8 @@ TEST(CacheDecay, SoundUnderRandomTraffic)
     }
     eq.run(t);
     hier.checkInvariants(t);
-    std::map<std::string, double> m;
-    hier.dumpStats(m);
-    EXPECT_EQ(m["l3.decayed_hits"], 0.0); // SRAM data never expires
+    // SRAM data never expires.
+    EXPECT_EQ(hier.levelCounts(LevelRole::LLC).access.decayedHits, 0u);
 }
 
 // ---------------------------------------------------------------------

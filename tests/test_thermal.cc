@@ -146,6 +146,21 @@ TEST(ThermalRun, DisabledRunRecordsNoThermalState)
 /** Retention safety: across every rescale the engines may never let a
  *  line decay (the decayed counter is the canary, and the hierarchy
  *  invariant checker verifies expiries directly). */
+void
+expectNoDecayedLine(const MachineConfig &cfg, const Workload &app,
+                    std::uint64_t refs, std::uint64_t seed)
+{
+    SimParams sim;
+    sim.refsPerCore = refs;
+    sim.seed = seed;
+    CmpSystem sys(cfg, app, sim);
+    sys.run();
+    EXPECT_EQ(sys.hierarchy().counts().decayedHits, 0u);
+    sys.hierarchy().checkInvariants(sys.execTicks());
+    ASSERT_NE(sys.hierarchy().thermal(), nullptr);
+    EXPECT_GT(sys.hierarchy().thermal()->epochs(), 0u);
+}
+
 TEST(ThermalRun, NoLineDecaysAcrossRetentionRescales)
 {
     UniformWorkload app(16 * 1024, 0.4);
@@ -156,17 +171,20 @@ TEST(ThermalRun, NoLineDecaysAcrossRetentionRescales)
           RefreshPolicy::refrint(DataPolicy::WB, 4, 4)}) {
         for (double ambient : {45.0, 85.0}) {
             SCOPED_TRACE(pol.name() + " @ " + std::to_string(ambient));
-            SimParams sim;
-            sim.refsPerCore = 15'000;
-            sim.seed = 7;
-            CmpSystem sys(tinyThermal(pol, ambient), app, sim);
-            sys.run();
-            EXPECT_EQ(sys.hierarchy().counts().decayedHits, 0u);
-            sys.hierarchy().checkInvariants(sys.execTicks());
-            ASSERT_NE(sys.hierarchy().thermal(), nullptr);
-            EXPECT_GT(sys.hierarchy().thermal()->epochs(), 0u);
+            expectNoDecayedLine(tinyThermal(pol, ambient), app, 15'000, 7);
         }
     }
+    // On the paper machine a rescale can re-arm a Refrint sentry group
+    // at a deadline already past: a line installed into an armed group
+    // may carry an earlier sentry than the group's key.
+    SCOPED_TRACE("paper machine, lu, R.dirty @ 85 C");
+    const Workload *lu = findWorkload("lu");
+    ASSERT_NE(lu, nullptr);
+    expectNoDecayedLine(
+        MachineConfig::paperEdramThermal(
+            RefreshPolicy::refrint(DataPolicy::Dirty), usToTicks(50.0),
+            85.0),
+        *lu, 10'000, 1);
 }
 
 /** The headline thermal scenario: a hot die costs Periodic-All real

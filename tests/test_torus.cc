@@ -15,8 +15,7 @@ namespace
 {
 struct NetFixture
 {
-    StatGroup stats{"net"};
-    TorusNetwork net{4, 2, 4, stats}; // 4x4, 2 cyc/hop, 4 cyc data tax
+    TorusNetwork net{4, 2, 4}; // 4x4, 2 cyc/hop, 4 cyc data tax
 };
 } // namespace
 
@@ -102,8 +101,7 @@ TEST(Torus, TraverseMatchesLatencyOf)
 
 TEST(Torus, TwoByTwoTorus)
 {
-    StatGroup sg{"net"};
-    TorusNetwork net(2, 1, 0, sg);
+    TorusNetwork net(2, 1, 0);
     EXPECT_EQ(net.numNodes(), 4u);
     EXPECT_EQ(net.hops(0, 3), 2u);
     EXPECT_EQ(net.hops(0, 1), 1u);

@@ -409,6 +409,41 @@ TEST(ValidateTest, FlagsACorruptedRowAndWritesTheJsonReport)
     std::remove(json.c_str());
 }
 
+TEST(ValidateTest, FlagsMachineLabelsNoMachineHas)
+{
+    // c2 and c65 lie outside the machine's 4..64 cores; c16 and c+32
+    // are spellings machineIdFor() never emits.  Each is a key-parse
+    // violation, not an abort while building the machine.
+    const std::string dir = ::testing::TempDir() + "/validate_mach";
+    std::filesystem::remove_all(dir);
+    const char *labels[] = {"c2", "c65", "c16", "c+32"};
+    {
+        ShardedStore store(dir);
+        for (const char *m : labels)
+            store.insert(std::string("fft|P.all|50.0|100|1|mach=") + m,
+                         sampleRow());
+        store.flush();
+    }
+
+    std::FILE *sink = std::tmpfile();
+    ASSERT_NE(sink, nullptr);
+    ValidateOptions opts;
+    opts.storeDir = dir;
+    opts.out = sink;
+    ValidateReport rep;
+    EXPECT_EQ(runValidate(opts, &rep), 1);
+    for (const char *m : labels) {
+        const std::string key =
+            std::string("fft|P.all|50.0|100|1|mach=") + m;
+        bool flagged = false;
+        for (const ValidateFinding &f : rep.violations)
+            flagged |= f.key == key && f.check == "key-parse";
+        EXPECT_TRUE(flagged) << key;
+    }
+    std::fclose(sink);
+    std::filesystem::remove_all(dir);
+}
+
 TEST(ValidateTest, DiesCleanlyOnAMissingCorpus)
 {
     ValidateOptions store;

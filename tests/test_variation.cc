@@ -81,13 +81,11 @@ struct VarHarness
         hier.start(0);
     }
 
-    std::uint64_t
-    stat(const char *name)
+    /** Counters of the level playing role @p r. */
+    LevelCounts
+    level(LevelRole r = LevelRole::LLC) const
     {
-        std::map<std::string, double> m;
-        hier.dumpStats(m);
-        auto it = m.find(name);
-        return it == m.end() ? 0 : static_cast<std::uint64_t>(it->second);
+        return hier.levelCounts(r);
     }
 
     HierarchyConfig cfg;
@@ -114,8 +112,9 @@ TEST(Variation, NoDecayedHitsUnderEitherTimingPolicy)
                 10;
         }
         h.eq.run(t);
-        EXPECT_EQ(h.stat("l3.decayed_hits"), 0u) << pol.name();
-        EXPECT_EQ(h.stat("l2.decayed_hits"), 0u) << pol.name();
+        EXPECT_EQ(h.level().access.decayedHits, 0u) << pol.name();
+        EXPECT_EQ(h.level(LevelRole::L2).access.decayedHits, 0u)
+            << pol.name();
         h.hier.checkInvariants(t);
     }
 }
@@ -138,8 +137,8 @@ TEST(Variation, PeriodicPaysTheWeakestLinePenalty)
 
     // 20 nominal periods in the window; the weakest of 512 draws at
     // sigma 8% hits the 80% floor, so Periodic performs ~25 refreshes.
-    EXPECT_GT(p.stat("refresh.l3.line_refreshes"),
-              r.stat("refresh.l3.line_refreshes"));
+    EXPECT_GT(p.level().refresh.lineRefreshes,
+              r.level().refresh.lineRefreshes);
 }
 
 TEST(Variation, RefrintRefreshRateTracksThisLinesOwnRetention)
@@ -154,7 +153,7 @@ TEST(Variation, RefrintRefreshRateTracksThisLinesOwnRetention)
     const double nominalVisits =
         100.0 / 5.0; // window / nominal retention
     const auto refreshes =
-        static_cast<double>(r.stat("refresh.l3.line_refreshes"));
+        static_cast<double>(r.level().refresh.lineRefreshes);
     EXPECT_GE(refreshes, nominalVisits - 1);           // >= nominal rate
     EXPECT_LE(refreshes, nominalVisits / 0.80 + 3.0);  // <= floor rate
 }
